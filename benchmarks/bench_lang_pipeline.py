@@ -130,11 +130,14 @@ def _hot_checked_elided():
 
 HOT_ELIDED = _hot_checked_elided()
 
+#: Execution engines every hot-loop scenario is measured under.
+ENGINES = ("walk", "vm", "jit")
 
-@pytest.mark.parametrize("engine", ["walk", "compiled", "vm", "jit"])
+
+@pytest.mark.parametrize("engine", ENGINES)
 def test_bench_execution_engines(benchmark, engine):
-    """Tree walk vs closure compiler vs register VM vs the VM's
-    trace-JIT tier on a message-heavy hot loop."""
+    """Tree walk vs register VM vs the VM's trace-JIT tier on a
+    message-heavy hot loop."""
 
     def run():
         interp = Interpreter(
@@ -147,7 +150,7 @@ def test_bench_execution_engines(benchmark, engine):
     assert interp.output == ["23997"]
 
 
-@pytest.mark.parametrize("engine", ["walk", "compiled", "vm", "jit"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_bench_check_elision(benchmark, engine):
     """The hot loop with repro.analysis check elision planned in."""
 
@@ -192,7 +195,7 @@ class Main {
 RESIDUAL_CHECKED = check_program(HOT_RESIDUAL)
 
 
-@pytest.mark.parametrize("engine", ["walk", "compiled", "vm", "jit"])
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("checks", ["full", "transient"])
 def test_bench_transient_checks(benchmark, engine, checks):
     """Full vs transient check depth on the residual-heavy loop: every
@@ -248,13 +251,10 @@ def test_bench_smallstep_kernel(benchmark):
 # Standalone BENCH_lang.json reporter (satellite of the perf PR).
 # ---------------------------------------------------------------------------
 
-#: Keys the CI smoke job guards against regression.  The interpreter hot
+#: Keys the CI bench gate guards against regression.  The interpreter hot
 #: loop is the canonical "is the lang pipeline still fast?" signal.
-SMOKE_KEYS = ("hot_loop_walk_s", "hot_loop_compiled_s", "hot_loop_vm_s",
-              "hot_loop_jit_s", "typechecker_s")
-
-#: Execution engines every hot-loop scenario is measured under.
-ENGINES = ("walk", "compiled", "vm", "jit")
+SMOKE_KEYS = ("hot_loop_walk_s", "hot_loop_vm_s", "hot_loop_jit_s",
+              "typechecker_s")
 
 
 def _sample(fn, repeats):
@@ -481,9 +481,9 @@ def main(argv=None):
             return 1
 
     if args.min_transient_speedup is not None:
-        # Gate only the compiled tiers: the walk/compiled engines also
-        # win from transient checks, but the perf bar of this PR is the
-        # vm's shallow opcodes and the jit's inlined tag probes.
+        # Gate only the bytecode tiers: the walk engine also wins from
+        # transient checks, but the gated perf bar is the vm's shallow
+        # opcodes and the jit's inlined tag probes.
         failed = False
         for engine in ("vm", "jit"):
             ratio = payload["transient_speedup"][engine]

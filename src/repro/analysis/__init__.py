@@ -9,7 +9,7 @@ Three cooperating passes over a ``CheckedProgram``:
   propagates dynamically-enforced mode intervals through locals and
   method boundaries;
 * the **elision planner** (:mod:`.planner`) annotates the AST so the
-  interpreter and compiler skip the checks proven to always pass;
+  engines skip the checks proven to always pass;
 * the **residual-cost pass** (:mod:`.cost`) bounds how many times each
   residual check can fire (loop-trip bounds × interprocedural
   activation counts) — the static overhead guarantee ``repro analyze``

@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=list(ENGINES),
                          help="repro.lang engine to record for the "
                               "episode (the engine registry: walk, "
-                              "compiled, vm or jit); episodes run "
+                              "vm or jit); episodes run "
                               "through the embedded API, so this is "
                               "validated provenance")
     episode.add_argument("--seed", type=int, default=0)

@@ -163,7 +163,7 @@ class MethodCall(Expr):
     resolved_self_call = False
     runtime_mode_check = False
     # Set by repro.analysis.planner when the dfall check at this site is
-    # proven to always hold; the interpreter/compiler skip it when
+    # proven to always hold; every engine skips it when
     # ``InterpOptions.elide_checks`` is on.
     elide_dfall = False
 

@@ -117,9 +117,6 @@ class InterpOptions:
     lazy_copy: bool = True
     fuel: Optional[int] = None
     check_dfall: bool = True
-    #: Closure-compile bodies on first execution (see
-    #: :mod:`repro.lang.compiler`); semantics are identical.
-    compile: bool = False
     #: Enable the run-time caches (flattened method tables, construction
     #: templates, per-call-site inline caches, the dfall memo).
     #: Semantics are identical with the flag off; it exists so the
@@ -132,14 +129,12 @@ class InterpOptions:
     #: ``baseline`` (those builds change check semantics, so the
     #: planner's facts no longer entail the guards).
     elide_checks: bool = True
-    #: Execution engine: ``"walk"`` (tree walk), ``"compiled"``
-    #: (closure compiler), ``"vm"`` (register bytecode; see
-    #: ``docs/VM.md``) or ``"jit"`` (the VM plus the trace-JIT tier;
-    #: see ``repro.lang.jit``).  ``None`` defers to the legacy
-    #: ``compile`` flag (``True`` -> compiled, ``False`` -> walk).  All
-    #: four engines are observably identical up to ``steps``; the
-    #: differential suite in ``tests/property/test_vm_agreement.py``
-    #: enforces it.
+    #: Execution engine: ``"walk"`` (tree walk), ``"vm"`` (register
+    #: bytecode; see ``docs/VM.md``) or ``"jit"`` (the VM plus the
+    #: trace-JIT tier; see ``repro.lang.jit``).  ``None`` means the
+    #: default, ``"walk"``.  All three engines are observably identical
+    #: up to ``steps``; the differential suite in
+    #: ``tests/property/test_vm_agreement.py`` enforces it.
     engine: Optional[str] = None
     #: Check depth: ``"full"`` runs the paper's deep checks;
     #: ``"transient"`` collapses re-snapshot bound checks and dfall
@@ -221,23 +216,19 @@ class _Frame:
     """One activation record.  A ``__slots__`` class (not a dataclass):
     the interpreter creates one per message send.
 
-    The tree walk keeps a scope chain of dicts in ``locals``; the
-    compiled engine stores slot-resolved locals in ``slots``.
+    The tree walk keeps a scope chain of dicts in ``locals``.
     """
 
-    __slots__ = ("this_obj", "mode_env", "current_mode", "locals",
-                 "slots")
+    __slots__ = ("this_obj", "mode_env", "current_mode", "locals")
 
     def __init__(self, this_obj: Optional[ObjectV],
                  mode_env: Dict[str, Optional[Mode]],
                  current_mode: Optional[Mode],
-                 locals: Optional[List[Dict[str, object]]] = None,
-                 slots: Optional[List[object]] = None) -> None:
+                 locals: Optional[List[Dict[str, object]]] = None) -> None:
         self.this_obj = this_obj
         self.mode_env = mode_env
         self.current_mode = current_mode
         self.locals = [] if locals is None else locals
-        self.slots = slots
 
     def push(self) -> None:
         self.locals.append({})
@@ -334,15 +325,11 @@ class Interpreter:
         self._field_templates: Dict[str, tuple] = {}
         #: (receiver mode, sender mode) -> waterfall-invariant verdict.
         self._dfall_cache: Dict[Tuple[Mode, Mode], bool] = {}
-        #: id(body block) -> (compiled code, slot count).
-        self._body_cache: Dict[int, tuple] = {}
-        #: (id(expr), want_mcase) -> compiled field-initializer code.
-        self._init_code_cache: Dict[tuple, Callable] = {}
         #: id(MethodInfo) -> per-parameter wants-mcase tuple (static
         #: typed data, like ``_mode_by_name``; always on).
         self._param_wants: Dict[int, tuple] = {}
-        #: Strong references backing the three id()-keyed caches above:
-        #: a collected node's id can be reused by a different object,
+        #: Strong references backing the id()-keyed cache above: a
+        #: collected object's id can be reused by a different object,
         #: which would alias cache entries.  Every key's object is
         #: pinned on insert (zero cost on the hit path); the VM keeps
         #: the same invariant for its own code caches.
@@ -354,9 +341,7 @@ class Interpreter:
         #: (one attribute load instead of two on the per-node paths).
         self._fuel = self.options.fuel
         from repro.lang.engines import resolve_engine
-        self.engine = engine = resolve_engine(
-            self.options.engine, compile_flag=self.options.compile)
-        self._compile_on = engine == "compiled"
+        self.engine = engine = resolve_engine(self.options.engine)
         # Transient checking (``--checks transient``): deep checks
         # collapse to tag comparisons against a precomputed upward-
         # closure table — O(1) set probes instead of lattice walks.
@@ -376,8 +361,6 @@ class Interpreter:
             from repro.lang.vm import VM, JITVM
             self._vm = JITVM(self) if engine == "jit" else VM(self)
             self._call_body = self._vm.call_body
-        elif engine == "compiled":
-            self._call_body = self._call_body_compiled
         else:
             self._call_body = self._call_body_walk
         # Planner-driven check elision, fixed at construction.  Off
@@ -396,10 +379,9 @@ class Interpreter:
         """Shadow the hot dispatch methods with profiled wrappers.
 
         Instance-attribute shadowing is the zero-cost-when-disabled
-        mechanism for the walk and compiled engines: the class methods
-        stay untouched, so an unprofiled interpreter pays nothing.  The
-        closure compiler captures ``interp._invoke`` (and the walk's
-        ``self._eval`` lookups resolve the attribute) lazily, after
+        mechanism: the class methods stay untouched, so an unprofiled
+        interpreter pays nothing.  The walk's ``self._eval`` lookups and
+        the VM's ``interp._invoke`` loads resolve the attribute after
         construction, so the wrappers are what every engine binds.
         """
         self._invoke = self._invoke_profiled
@@ -445,23 +427,6 @@ class Interpreter:
 
     # ------------------------------------------------------------------
     # Bookkeeping
-
-    def _tick(self) -> None:
-        self.stats.steps += 1
-        fuel = self._fuel
-        if fuel is not None and self.stats.steps > fuel:
-            raise FuelExhausted(
-                f"evaluation exceeded {fuel} steps (divergence bound)")
-
-    def _charge(self, count: int) -> None:
-        """Batched fuel accounting for the compiled engine: one check per
-        block entry / loop iteration instead of one per AST node."""
-        steps = self.stats.steps + count
-        self.stats.steps = steps
-        fuel = self._fuel
-        if fuel is not None and steps > fuel:
-            raise FuelExhausted(
-                f"evaluation exceeded {fuel} steps (divergence bound)")
 
     def _resolve_atom(self, atom: ModeAtom,
                       frame: _Frame) -> Optional[Mode]:
@@ -791,14 +756,6 @@ class Interpreter:
             return signal.value
         return _NO_RETURN
 
-    def _call_body_compiled(self, block: ast.Block, param_names, frame,
-                            args, wants=()) -> object:
-        try:
-            self._run_compiled_body(block, param_names, frame, args)
-        except _ReturnSignal as signal:
-            return signal.value
-        return _NO_RETURN
-
     def _wants_for(self, minfo: MethodInfo) -> tuple:
         """Per-parameter "is mcase-typed" tuple (mcase parameters
         receive their arguments un-eliminated)."""
@@ -809,27 +766,6 @@ class Interpreter:
             self._param_wants[id(minfo)] = wants
             self._cache_pins.append(minfo)
         return wants
-
-    def _run_compiled_body(self, block: ast.Block, param_names,
-                           frame: _Frame, args) -> None:
-        """Execute a body through the closure compiler with a
-        slot-resolved frame (parameters occupy slots ``0..n-1``)."""
-        entry = self._body_cache.get(id(block))
-        if entry is None:
-            from repro.lang.compiler import compile_body
-            entry = compile_body(self, block, param_names)
-            self._body_cache[id(block)] = entry
-            self._cache_pins.append(block)
-        code, n_slots = entry
-        nparams = len(param_names)
-        if len(args) != nparams:
-            raise StuckError(
-                f"body expects {nparams} argument(s), got {len(args)}")
-        slots = list(args)
-        if len(slots) < n_slots:
-            slots.extend([None] * (n_slots - len(slots)))
-        frame.slots = slots
-        code(frame)
 
     def _check_dfall(self, guard: Optional[Mode],
                      sender: Optional[Mode], self_call: bool,
@@ -943,19 +879,11 @@ class Interpreter:
 
     def _execute_expr(self, expr: ast.Expr, frame: _Frame,
                       want_mcase: bool = False) -> object:
-        """Field-initializer entry point (compiles lazily per expr)."""
+        """Field-initializer entry point (the VM lowers lazily per
+        expr)."""
         if self._vm is not None:
             return self._vm.execute_expr(expr, frame,
                                          want_mcase=want_mcase)
-        if self._compile_on:
-            key = (id(expr), want_mcase)
-            code = self._init_code_cache.get(key)
-            if code is None:
-                from repro.lang.compiler import compile_expr
-                code = compile_expr(self, expr, want_mcase=want_mcase)
-                self._init_code_cache[key] = code
-                self._cache_pins.append(expr)
-            return code(frame)
         return self._eval(expr, frame, want_mcase=want_mcase)
 
     def _exec_block(self, block: ast.Block, frame: _Frame) -> None:
@@ -1397,7 +1325,7 @@ class Interpreter:
 
     def _cast_value(self, value: object, target: ty.Type,
                     frame: _Frame) -> object:
-        """Cast an already-evaluated value (shared with the compiler)."""
+        """Cast an already-evaluated value (shared with the VM)."""
         if target == ty.INT:
             if isinstance(value, (int, float)) and not isinstance(value,
                                                                   bool):
@@ -1462,7 +1390,7 @@ class Interpreter:
                         frame: _Frame, elide_bound: bool = False,
                         span=None) -> object:
         """Snapshot an already-evaluated value against ``(lo, hi)`` bound
-        atoms (shared with the compiler)."""
+        atoms (shared with the VM)."""
         if not isinstance(value, ObjectV):
             raise StuckError(f"cannot snapshot {value!r}")
         if self._transient and value.is_snapshot:
@@ -1632,7 +1560,7 @@ class Interpreter:
     def _mselect_value(self, value: object, atom,
                        frame: _Frame) -> object:
         """Explicit elimination of an already-evaluated mode case at a
-        bound atom (shared with the compiler)."""
+        bound atom (shared with the VM)."""
         if not isinstance(value, MCaseV):
             raise StuckError(f"mselect on non-mcase value {value!r}")
         mode = self._resolve_atom(atom, frame)
@@ -1679,7 +1607,7 @@ class Interpreter:
 
     def _binary_op(self, op: str, left: object, right: object) -> object:
         """Apply a non-short-circuit binary operator to evaluated
-        operands (shared with the compiler's slow path)."""
+        operands (shared with the VM's slow path)."""
         # Numbers first: the exact type checks exclude bool (a subclass
         # of int), and ``==``/``!=`` are absent from the table so they
         # fall through to values_equal below.

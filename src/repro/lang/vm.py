@@ -1,10 +1,11 @@
-"""The register-bytecode VM: ENT's third (and fastest) execution engine.
+"""The register-bytecode VM: ENT's second execution engine (and the
+base of the third, the JIT tier in :mod:`repro.lang.jit`).
 
 :mod:`repro.lang.bytecode` lowers typechecked bodies to flat register
 code; this module runs it.  The dispatch loop is a hotness-ordered
 ``if``/``elif`` chain over integer opcodes (CPython 3.11's adaptive
 interpreter specializes the compares), with three structural choices
-that buy the speedup over the closure compiler:
+that buy the speedup over the tree walk:
 
 * **No control-flow exceptions** — ``return`` returns straight out of
   the dispatch function, ``break``/``continue`` are jumps resolved at
@@ -92,8 +93,8 @@ class VM:
 
     def __init__(self, interp) -> None:
         self.interp = interp
-        #: id(body block) -> VMCode (bodies lower lazily, like the
-        #: closure compiler's ``_body_cache``).
+        #: id(body block) -> VMCode (bodies lower lazily, on first
+        #: call).
         self._codes = {}
         #: (id(expr), want_mcase) -> VMCode for field initializers.
         self._expr_codes = {}

@@ -1,7 +1,7 @@
 """Cache-transparency tests for the PR-3 hot-path caches.
 
-Every cache added for performance — the interpreter/compiler inline
-caches (``InterpOptions.inline_caches``), the constraint-set memo
+Every cache added for performance — the engines' inline caches
+(``InterpOptions.inline_caches``), the constraint-set memo
 (``ConstraintSet.MEMOIZE``), and the embedded runtime's dfall memo —
 must be invisible to observable behaviour: outputs, every ``InterpStats``
 counter, and raised ``EnergyException``s are bit-identical with caches
@@ -28,9 +28,10 @@ from test_soundness import programs  # type: ignore
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 EXAMPLES = sorted((ROOT / "examples" / "ent").glob("*.ent"))
+ENGINES = ("walk", "vm", "jit")
 
 
-def run_config(source, *, compile_flag, inline_caches, battery=0.6):
+def run_config(source, *, engine, inline_caches, battery=0.6):
     class _Battery(NullPlatform):
         def battery_fraction(self):
             return battery
@@ -38,7 +39,7 @@ def run_config(source, *, compile_flag, inline_caches, battery=0.6):
     checked = check_program(source)
     interp = Interpreter(
         checked, platform=_Battery(),
-        options=InterpOptions(compile=compile_flag, fuel=500_000,
+        options=InterpOptions(engine=engine, fuel=500_000,
                               inline_caches=inline_caches))
     try:
         interp.run()
@@ -53,25 +54,20 @@ def run_config(source, *, compile_flag, inline_caches, battery=0.6):
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
-@pytest.mark.parametrize("compile_flag", [False, True],
-                         ids=["walk", "compiled"])
-def test_examples_identical_with_and_without_caches(path, compile_flag):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_examples_identical_with_and_without_caches(path, engine):
     source = path.read_text()
-    cached = run_config(source, compile_flag=compile_flag,
-                        inline_caches=True)
-    uncached = run_config(source, compile_flag=compile_flag,
-                          inline_caches=False)
+    cached = run_config(source, engine=engine, inline_caches=True)
+    uncached = run_config(source, engine=engine, inline_caches=False)
     assert cached == uncached
 
 
 @settings(max_examples=30, deadline=None)
-@given(programs(), st.booleans())
+@given(programs(), st.sampled_from(ENGINES))
 def test_random_programs_identical_with_and_without_caches(
-        source, compile_flag):
-    cached = run_config(source, compile_flag=compile_flag,
-                        inline_caches=True)
-    uncached = run_config(source, compile_flag=compile_flag,
-                          inline_caches=False)
+        source, engine):
+    cached = run_config(source, engine=engine, inline_caches=True)
+    uncached = run_config(source, engine=engine, inline_caches=False)
     assert cached == uncached
 
 

@@ -1,155 +1,66 @@
-"""Differential testing: the closure-compiled engine must be
-observationally identical to the tree walk on every program."""
+"""Battery-sweep differential testing: the bytecode compiler (the ``vm``
+engine) and its trace-JIT tier must be observationally identical to the
+tree walk at high, medium and low battery.
+
+Battery level decides which snapshots succeed, which mode cases are
+eliminated and which ``EnergyException`` fires, so each level drives the
+engines down different paths.  ``test_vm_agreement.py`` runs the same
+corpora at the default level with elision and inline caches toggled;
+this file varies the battery instead.
+"""
+
+import pathlib
 
 import pytest
 from hypothesis import given, settings
-
-from repro.core.errors import EnergyException, FuelExhausted
-from repro.lang.interp import Interpreter, InterpOptions
-from repro.lang.typechecker import check_program
 
 # Reuse the soundness generator: its programs cover snapshots, bounds,
 # messaging, mode cases, loops and exception handlers.
 from test_soundness import programs  # type: ignore
 
-from repro.lang.interp import NullPlatform
-
-import pathlib
+from test_vm_agreement import (  # type: ignore
+    ENGINES, FIXED_PROGRAMS, KERNEL_PROGRAMS, run_engine)
 
 _ROOT = pathlib.Path(__file__).resolve().parents[2]
 
-#: Every shipped example program (the paper listing analogues exercise
-#: the full feature surface); globbed so new examples are covered
-#: automatically.
-FIXED_PROGRAMS = sorted(
-    str(p.relative_to(_ROOT))
-    for p in (_ROOT / "examples" / "ent").glob("*.ent"))
 
-_KERNEL_HEADER = """
-modes { low <= mid; mid <= high; }
-
-class Acc@mode<high> {
-    int total;
-    Acc() { total = 0; }
-    int bump(int k) { total = total + k; return total; }
-}
-
-class Rank@mode<?X> {
-    int links;
-    attributor {
-        if (links > 12) { return high; }
-        if (links > 4) { return mid; }
-        return low;
-    }
-    Rank(int links) { this.links = links; }
-    mcase<int> iterations = mcase{ low: 2; mid: 5; high: 9; };
-    int score(int seed) {
-        int s = seed;
-        int i = 0;
-        while (i < iterations) { s = (s * 31 + links) % 1000; i = i + 1; }
-        return s;
-    }
-}
-"""
-
-#: Workload-style kernels: the arithmetic/messaging shapes of the
-#: Figure-7 workloads (accumulation loops, rank iteration with a
-#: data-dependent mode, snapshot-driven degradation) as ENT programs.
-KERNEL_PROGRAMS = [
-    # accumulate: the hot-loop bench's shape, many messages to a
-    # concretely-moded receiver.
-    _KERNEL_HEADER + """
-class Main {
-    void main() {
-        Acc a = new Acc();
-        int i = 0;
-        while (i < 400) { a.bump(i % 7); i = i + 1; }
-        Sys.print(a.bump(0));
-    }
-}
-""",
-    # pagerank-ish: data-dependent attributor modes select different
-    # iteration counts through an mcase field.
-    _KERNEL_HEADER + """
-class Main {
-    void main() {
-        int total = 0;
-        int n = 0;
-        while (n < 20) {
-            Rank r = snapshot (new Rank(n));
-            total = total + r.score(n);
-            n = n + 1;
-        }
-        Sys.print(total);
-    }
-}
-""",
-    # crypto-ish: nested loops of modular arithmetic with casts and
-    # list traffic.
-    _KERNEL_HEADER + """
-class Main {
-    void main() {
-        List blocks = [3, 5, 7, 11];
-        int digest = 1;
-        foreach (int b : blocks) {
-            int round = 0;
-            while (round < 16) {
-                digest = (digest * (int) b + round) % 8191;
-                round = round + 1;
-            }
-        }
-        Sys.print(digest);
-    }
-}
-""",
-]
-
-
-def run_engine(source: str, compile_flag: bool, battery: float = 0.6):
-    class _Battery(NullPlatform):
-        def battery_fraction(self):
-            return battery
-
-    checked = check_program(source)
-    interp = Interpreter(checked, platform=_Battery(),
-                         options=InterpOptions(compile=compile_flag,
-                                               fuel=500_000))
-    try:
-        interp.run()
-        outcome = "ok"
-    except EnergyException:
-        outcome = "energy"
-    except FuelExhausted:
-        outcome = "fuel"
-    return (outcome, interp.output, interp.stats.snapshots,
-            interp.stats.energy_exceptions, interp.stats.copies,
-            interp.stats.mcase_elims)
+def all_engines(source: str, battery: float, inline_caches: bool = True):
+    """Every engine's observables, plus the JIT with thresholds at 1 so
+    every body runs as emitted Python."""
+    results = [run_engine(source, engine, battery=battery,
+                          inline_caches=inline_caches)
+               for engine in ENGINES]
+    results.append(run_engine(source, "jit", battery=battery,
+                              inline_caches=inline_caches, jit_hot=True))
+    return results
 
 
 @pytest.mark.parametrize("path", FIXED_PROGRAMS)
 @pytest.mark.parametrize("battery", [0.9, 0.6, 0.3])
 def test_listings_agree(path, battery):
     source = (_ROOT / path).read_text()
-    assert run_engine(source, False, battery) == \
-        run_engine(source, True, battery)
+    results = all_engines(source, battery)
+    for got in results[1:]:
+        assert got == results[0]
 
 
 @pytest.mark.parametrize("index", range(len(KERNEL_PROGRAMS)),
                          ids=["accumulate", "pagerank", "crypto"])
 @pytest.mark.parametrize("battery", [0.9, 0.3])
 def test_workload_kernels_agree(index, battery):
-    source = KERNEL_PROGRAMS[index]
-    walked = run_engine(source, False, battery)
-    compiled = run_engine(source, True, battery)
-    assert walked == compiled
-    assert walked[1], "kernel should print a digest"
+    """Inline caches off: the kernels in ``test_vm_agreement`` run with
+    them on."""
+    results = all_engines(KERNEL_PROGRAMS[index], battery,
+                          inline_caches=False)
+    for got in results[1:]:
+        assert got == results[0]
+    assert results[0][1], "kernel should print a digest"
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(programs())
 def test_random_programs_agree(source):
-    walked = run_engine(source, False)
-    compiled = run_engine(source, True)
-    # Step counts differ by design (fuel is charged per statement when
-    # compiled); everything observable must match.
-    assert walked == compiled
+    for battery in (0.9, 0.3):
+        results = all_engines(source, battery)
+        for got in results[1:]:
+            assert got == results[0], battery

@@ -18,7 +18,7 @@ It also pins the tentpole's check-level guarantees:
   the interpreter's own stats counters, on every engine, so the
   profile is exact, not sampled.
 * **Cross-engine check invariance** — the per-site check counts are
-  identical across walk/compiled/vm.
+  identical across walk/vm/jit.
 """
 
 import pathlib
@@ -34,7 +34,7 @@ from repro.lang.typechecker import check_program
 from repro.obs.prof import Profiler
 
 from test_soundness import programs  # type: ignore
-from test_compiler_agreement import KERNEL_PROGRAMS  # type: ignore
+from test_vm_agreement import KERNEL_PROGRAMS  # type: ignore
 
 _ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -42,7 +42,7 @@ FIXED_PROGRAMS = sorted(
     str(p.relative_to(_ROOT))
     for p in (_ROOT / "examples" / "ent").glob("*.ent"))
 
-ENGINES = ("walk", "compiled", "vm")
+ENGINES = ("walk", "vm", "jit")
 
 
 def run_engine(source: str, engine: str, battery: float = 0.6,

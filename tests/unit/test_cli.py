@@ -107,7 +107,7 @@ class TestRun:
         assert main(["run", path, "--fuel", "5000"]) == 1
         assert "exceeded" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("engine", ["walk", "compiled", "vm"])
+    @pytest.mark.parametrize("engine", ["walk", "vm", "jit"])
     def test_engine_flag(self, program, capsys, engine):
         assert main(["run", program(GOOD), "--engine", engine]) == 0
         assert "n=5" in capsys.readouterr().out
@@ -121,14 +121,18 @@ class TestRun:
         stats = json.loads(captured.err.strip().splitlines()[-1])
         assert stats["snapshots"] == 1
 
-    def test_compile_flag_is_engine_alias(self, program, capsys):
-        assert main(["run", program(GOOD), "--compile"]) == 0
-        assert "n=5" in capsys.readouterr().out
-
-    def test_explicit_engine_beats_compile_alias(self, program, capsys):
-        assert main(["run", program(GOOD), "--engine", "vm",
-                     "--compile"]) == 0
-        assert "n=5" in capsys.readouterr().out
+    @pytest.mark.parametrize("flags", [["--engine=compiled"],
+                                       ["--compile"]],
+                             ids=["engine-compiled", "compile"])
+    def test_removed_engine_is_usage_error(self, program, capsys, flags):
+        """The closure-compiler engine and its ``--compile`` alias are
+        gone: both are argparse usage errors (exit 2), not crashes."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", program(GOOD), *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "Traceback" not in err
 
 
 class TestDisasm:
@@ -191,7 +195,7 @@ class TestObs:
 
 
 class TestProfile:
-    @pytest.mark.parametrize("engine", ["walk", "compiled", "vm"])
+    @pytest.mark.parametrize("engine", ["walk", "vm", "jit"])
     def test_profile_reports_hot_labels(self, program, capsys, engine):
         assert main(["profile", program(GOOD), "--engine", engine,
                      "--checks"]) == 0
@@ -201,10 +205,10 @@ class TestProfile:
         assert "Check sites:" in out
         assert "Check totals:" in out
         assert "static-vs-observed clean" in out
-        if engine == "vm":
-            assert "op." in out
-        else:
+        if engine == "walk":
             assert "node." in out
+        else:
+            assert "op." in out
 
     def test_profile_vm_reports_ic_and_check_sites(self, program, capsys):
         assert main(["profile", program(GOOD), "--engine", "vm",

@@ -2,14 +2,14 @@
 trace-JIT tier:
 
 * ``id()``-keyed code caches (``VM._codes``/``_expr_codes``, the
-  interpreter's ``_body_cache``/``_param_wants``/``_init_code_cache``)
-  could alias after the garbage collector reused an address — a dead
-  AST node's code could run for a brand-new node with the same ``id``.
+  interpreter's ``_param_wants``) could alias after the garbage
+  collector reused an address — a dead AST node's code could run for a
+  brand-new node with the same ``id``.
   The fix pins every cached key's node with a strong reference; these
   tests assert the pin invariant directly and hammer the build-run-drop
   cycle that used to recycle addresses.
 * ``VM.call_body`` silently truncated over-arity argument lists where
-  every other engine raised; all four engines now raise the same
+  every other engine raised; all engines now raise the same
   ``StuckError``.
 * Inline caches grew without bound at megamorphic sites; they are now
   capped at the profiler's mega threshold with extra receiver classes
@@ -27,7 +27,7 @@ from repro.lang.interp import Interpreter, InterpOptions, NullPlatform
 from repro.lang.typechecker import check_program
 from repro.obs.prof import Profiler, ic_class
 
-ENGINES = ("walk", "compiled", "vm", "jit")
+ENGINES = ("walk", "vm", "jit")
 
 HEADER = "modes { low <= mid; mid <= high; }\n"
 
@@ -88,14 +88,12 @@ def test_vm_code_caches_pin_their_keys(engine):
     assert {key[0] for key in vm._expr_codes.keys()} <= pinned
 
 
-@pytest.mark.parametrize("engine", ["walk", "compiled"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_interpreter_caches_pin_their_keys(engine):
     interp = _interp(_COUNTING, engine)
     interp.run()
     pinned = {id(obj) for obj in interp._cache_pins}
     assert set(interp._param_wants.keys()) <= pinned
-    assert set(interp._body_cache.keys()) <= pinned
-    assert {key[0] for key in interp._init_code_cache.keys()} <= pinned
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +150,7 @@ def ast_walk(node):
 @pytest.mark.parametrize("extra", [2, -1], ids=["over", "under"])
 def test_arity_mismatch_agrees_across_engines(extra):
     """Over- and under-application must raise the same ``StuckError``
-    with the same message on all four engines — the VM used to
+    with the same message on every engine — the VM used to
     silently truncate extra arguments."""
     messages = []
     for engine in ENGINES:

@@ -38,8 +38,10 @@ class TestFigureCommands:
             main(["figure99"])
 
 
-class TestRunCliCompileFlag:
-    def test_compile_flag(self, tmp_path, capsys):
+class TestRunCliRemovedAlias:
+    def test_compile_alias_is_usage_error(self, tmp_path, capsys):
+        """``repro run --compile`` named an engine that no longer
+        exists: the flag is rejected, and the program runs without it."""
         from repro.cli import main as lang_main
         program = tmp_path / "p.ent"
         program.write_text("""
@@ -53,5 +55,9 @@ class TestRunCliCompileFlag:
             }
         }
         """)
-        assert lang_main(["run", str(program), "--compile"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            lang_main(["run", str(program), "--compile"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert lang_main(["run", str(program)]) == 0
         assert "4950" in capsys.readouterr().out

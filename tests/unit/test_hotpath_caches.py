@@ -1,11 +1,14 @@
 """Unit tests for the PR-3 hot-path caches: flattened method tables,
-per-call-site inline caches, slot-resolved frames, the dfall memo, and
-the ``--no-inline-caches`` escape hatch (see docs/PERFORMANCE.md)."""
+per-call-site inline caches, slot-resolved register frames, the dfall
+memo, and the ``--no-inline-caches`` escape hatch (see
+docs/PERFORMANCE.md)."""
 
 import pytest
 
 from repro.lang.interp import Interpreter, InterpOptions, run_source
 from repro.lang.typechecker import check_program
+
+ENGINES = ("walk", "vm", "jit")
 
 HEADER = """
 modes { low <= mid; mid <= high; }
@@ -39,15 +42,13 @@ class Main {
 """
 
 
-@pytest.mark.parametrize("compile_flag", [False, True],
-                         ids=["walk", "compiled"])
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("inline_caches", [True, False])
-def test_polymorphic_call_site_dispatches_per_class(compile_flag,
-                                                    inline_caches):
+def test_polymorphic_call_site_dispatches_per_class(engine, inline_caches):
     """One call site, three receivers of two classes: the inline cache
     must re-dispatch on the receiver's class, never reuse a stale hit."""
     interp = run_source(POLYMORPHIC, options=InterpOptions(
-        compile=compile_flag, inline_caches=inline_caches))
+        engine=engine, inline_caches=inline_caches))
     assert interp.output == [str((9 + 12 + 25) * 2)]
 
 
@@ -71,11 +72,9 @@ class Main {
 """
 
 
-@pytest.mark.parametrize("compile_flag", [False, True],
-                         ids=["walk", "compiled"])
-def test_flattened_method_table_respects_overrides(compile_flag):
-    interp = run_source(OVERRIDE,
-                        options=InterpOptions(compile=compile_flag))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_flattened_method_table_respects_overrides(engine):
+    interp = run_source(OVERRIDE, options=InterpOptions(engine=engine))
     assert interp.output == ["11", "12"]
 
 
@@ -98,13 +97,13 @@ class Main {
 
 
 def test_slot_resolved_frames_keep_sibling_scopes_apart():
-    """The compiler resolves each declaration to its own frame slot;
-    the same name declared in sibling blocks (and re-declared on every
-    loop iteration) must stay independent."""
-    walk = run_source(SIBLING_SCOPES, options=InterpOptions(compile=False))
-    compiled = run_source(SIBLING_SCOPES,
-                          options=InterpOptions(compile=True))
-    assert walk.output == compiled.output == [str(10 + 100 + 3000)]
+    """Bytecode lowering resolves each declaration to its own register
+    slot; the same name declared in sibling blocks (and re-declared on
+    every loop iteration) must stay independent."""
+    outputs = [run_source(SIBLING_SCOPES,
+                          options=InterpOptions(engine=engine)).output
+               for engine in ENGINES]
+    assert outputs == [[str(10 + 100 + 3000)]] * len(ENGINES)
 
 
 def test_dfall_memo_populates_and_stays_consistent():

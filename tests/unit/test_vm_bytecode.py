@@ -33,12 +33,6 @@ class TestResolveEngine:
     def test_default_is_walk(self):
         assert resolve_engine() == "walk"
 
-    def test_compile_flag_maps_to_compiled(self):
-        assert resolve_engine(compile_flag=True) == "compiled"
-
-    def test_explicit_engine_wins_over_flag(self):
-        assert resolve_engine("vm", compile_flag=True) == "vm"
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             resolve_engine("tracing-gc")
