@@ -42,7 +42,7 @@ class Main {
 
 
 @pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "eager"])
-def test_ablation_snapshot_copy_strategy(benchmark, lazy):
+def test_ablation_copy_strategy(benchmark, lazy):
     def run():
         return run_source(SNAPSHOT_LOOP,
                           options=InterpOptions(lazy_copy=lazy))

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import EnergyException, EntError
+from repro.core.jobs import resolve_jobs
 from repro.core.rng import SplitMix64, derive_seed
 from repro.lang.engines import DEFAULT_ENGINE, resolve_engine
 from repro.lang.lexer import tokenize
@@ -443,10 +444,7 @@ def advise_source(source: str, file: str = "<advise>",
 
     keys = sorted(tasks)
     results: Dict[Tuple[int, int, int], Dict[str, object]] = {}
-    jobs = cfg.jobs
-    if jobs == 0:
-        import os
-        jobs = os.cpu_count() or 1
+    jobs = resolve_jobs(cfg.jobs)
     if jobs > 1 and len(keys) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for key, result in zip(

@@ -80,6 +80,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.errors import EnergyException, EntError
+from repro.core.jobs import non_negative_int
 from repro.lang.engines import ENGINES, resolve_engine
 from repro.lang.interp import Interpreter, InterpOptions
 from repro.lang.lexer import tokenize
@@ -115,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "tier, fastest on hot code) — see docs/VM.md")
     run.add_argument("--no-inline-caches", action="store_true",
                      help="disable the run-time caches (method tables, "
-                          "call-site ICs, dfall memo); semantics are "
+                          "templates, call-site ICs); semantics are "
                           "identical — see docs/PERFORMANCE.md")
     run.add_argument("--checks", choices=["full", "transient"],
                      default="full",
@@ -255,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="battery level for the calibration "
                              "episodes; repeat for a grid "
                              "(default 1.0)")
-    advise.add_argument("--jobs", type=int, default=1,
+    advise.add_argument("--jobs", type=non_negative_int, default=1,
                         help="parallel calibration workers; 0 = one "
                              "per CPU (results are identical for any "
                              "value)")
@@ -295,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="full",
                         help="lower residual checks for this check "
                              "depth: transient selects the shallow "
-                             "opcodes (CALL_SHALLOW, SNAPSHOT_SHALLOW)")
+                             "re-snapshot opcode (SNAPSHOT_SHALLOW)")
 
     pretty = sub.add_parser("pretty", help="parse and pretty-print")
     pretty.add_argument("file")
@@ -305,8 +306,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="statically check Python code using the embedded ENT API")
+        help="statically check Python code using the embedded ENT API "
+             "(same as analyze --embedded)")
     lint.add_argument("file")
+    lint.set_defaults(json=False)
 
     fleet = sub.add_parser(
         "fleet",
@@ -746,18 +749,6 @@ def _cmd_eval(args) -> int:
     return eval_main(args.eval_args)
 
 
-def _cmd_lint(args) -> int:
-    from repro.runtime.lint import lint_source
-
-    findings = lint_source(_read(args.file), filename=args.file)
-    for finding in findings:
-        print(f"{args.file}:{finding}")
-    errors = [f for f in findings if f.code.startswith("E")]
-    if not findings:
-        print(f"{args.file}: OK")
-    return 1 if errors else 0
-
-
 _COMMANDS = {
     "check": _cmd_check,
     "run": _cmd_run,
@@ -768,7 +759,7 @@ _COMMANDS = {
     "disasm": _cmd_disasm,
     "pretty": _cmd_pretty,
     "tokens": _cmd_tokens,
-    "lint": _cmd_lint,
+    "lint": _analyze_embedded,
     "eval": _cmd_eval,
     "fleet": _cmd_fleet,
 }

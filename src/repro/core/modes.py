@@ -17,7 +17,9 @@ concrete mode constants, which is all the runtime ever manipulates.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from repro.core.errors import ModeLatticeError, UnknownModeError
 
@@ -214,6 +216,16 @@ class ModeLattice:
         if mode not in self._modes:
             raise UnknownModeError(mode.name)
         return mode
+
+    @property
+    def up(self) -> Mapping[Mode, FrozenSet[Mode]]:
+        """The closure table, read-only: each mode -> all modes ≥ it.
+
+        ``a <= b`` is ``b in up[a]``.  The run-time waterfall and bound
+        checks of every engine probe this one table; callers on hot
+        paths bind it once.
+        """
+        return MappingProxyType(self._leq)
 
     def leq(self, lesser: Mode, greater: Mode) -> bool:
         """The declared order: ``lesser <= greater``?"""

@@ -25,6 +25,8 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.core.jobs import non_negative_int
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -37,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
                  "figure11", "all"):
         cmd = sub.add_parser(name, help=f"regenerate {name}")
         cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--jobs", type=int, default=None,
+        cmd.add_argument("--jobs", type=non_negative_int, default=None,
                          help="parallel episode workers (default: "
                               "serial, 0 = all cores)")
         cmd.add_argument("--trace", metavar="PATH", default=None,
@@ -53,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument("--dir", default="results")
     export.add_argument("--seed", type=int, default=0)
     export.add_argument("--figures", nargs="*", default=None)
-    export.add_argument("--jobs", type=int, default=None,
+    export.add_argument("--jobs", type=non_negative_int, default=None,
                         help="parallel episode workers (default: "
                              "serial, 0 = all cores)")
 
@@ -65,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     drain.add_argument("--iterations", type=int, default=40)
     drain.add_argument("--battery-scale", type=float, default=0.003)
     drain.add_argument("--seed", type=int, default=0)
-    drain.add_argument("--jobs", type=int, default=None,
+    drain.add_argument("--jobs", type=non_negative_int, default=None,
                        help="parallel sweep workers (default: serial, "
                             "0 = all cores)")
 
@@ -94,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     advise.add_argument("--samples", type=int, default=128,
                         help="Monte-Carlo draws per pinned class")
     advise.add_argument("--seed", type=int, default=0)
-    advise.add_argument("--jobs", type=int, default=None,
+    advise.add_argument("--jobs", type=non_negative_int, default=None,
                         help="parallel calibration workers (default: "
                              "serial, 0 = all cores; results are "
                              "bit-identical for any value)")

@@ -20,18 +20,18 @@ without giving up the serial harness's two guarantees:
   run that rebinds the tracer per episode), so ``repro obs report``
   works unchanged under fan-out.
 
-``jobs`` semantics everywhere in this package: ``None`` or ``1`` means
-serial in-process execution (the default — no pool, no pickling),
+``jobs`` follows :mod:`repro.core.jobs` everywhere in this package:
+``None`` or ``1`` means serial in-process execution (the default),
 ``0`` means one worker per core, ``N > 1`` means a pool of ``N``.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.core.jobs import resolve_jobs
 from repro.obs.prof import NULL_PROFILER, Profiler
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.workloads.registry import get_workload
@@ -69,17 +69,6 @@ class EpisodeTask:
         params["seed"] = seed
         return EpisodeTask(kind=self.kind, key=tuple(self.key) + (seed,),
                            benchmark=self.benchmark, params=params)
-
-
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """Worker count for a ``--jobs`` value (None/1 serial, 0 = cores)."""
-    if jobs is None:
-        return 1
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
-    if jobs == 0:
-        return os.cpu_count() or 1
-    return jobs
 
 
 def _run_one(task: EpisodeTask, tracer, profiler=NULL_PROFILER) -> object:

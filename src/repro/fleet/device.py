@@ -26,23 +26,18 @@ outcomes — the property suite asserts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Tuple
 
 from repro.core.errors import EnergyException
 from repro.fleet.spec import LOAD_FACTORS, DeviceParams, FleetSpec
-from repro.runtime.embedded import EntRuntime
+from repro.runtime.embedded import EntRuntime, RuntimeStats
 from repro.workloads.base import battery_boot_mode
 
 __all__ = ["DeviceApp", "DeviceOutcome", "run_device"]
 
-#: RuntimeStats fields aggregated fleet-wide.  ``dfall_memo_hits`` is
-#: deliberately absent: the verdict memo is shared per shard in the
-#: batched engine, so its hit count depends on batching — a cache
-#: diagnostic, not a semantic quantity.
-STAT_FIELDS: Tuple[str, ...] = (
-    "messages", "dfall_checks", "snapshots", "copies", "lazy_tags",
-    "bound_checks", "energy_exceptions", "mcase_elims")
+#: RuntimeStats fields aggregated fleet-wide: all of them.
+STAT_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(RuntimeStats))
 
 
 class DeviceApp:

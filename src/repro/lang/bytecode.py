@@ -19,10 +19,12 @@ register file:
   planner proved safe lowers to ``CALL_NODFALL`` and a proven snapshot
   to ``SNAPSHOT_ELIDE`` — the check simply is not emitted (the elided
   counters keep the executed+elided sum invariant).  Under
-  ``--checks transient`` the residual checks lower to the dedicated
-  shallow opcodes instead (``CALL_SHALLOW``, ``SNAPSHOT_SHALLOW``):
-  the VM and JIT collapse them to O(1) probes against the
-  interpreter's precomputed upward-closure table.
+  ``--checks transient`` a residual snapshot lowers to
+  ``SNAPSHOT_SHALLOW`` instead: a re-snapshot skips the attributor and
+  the copy, and the VM and JIT collapse it to two probes of the
+  lattice's closure table.  Sends lower to ``CALL_DFALL`` in both
+  check modes: the waterfall check is one closure-table probe either
+  way.
 * **Superinstructions** — fused compare-and-branch (``JF_LT`` & co),
   ``INC`` for the canonical ``i = i + 1``, ``FIELD_ADD`` for
   ``this.f = this.f + x``, ``RET_FIELD`` for ``return this.f``, and
@@ -120,8 +122,7 @@ OP_FALLOFF = 61        # ()               body end without return
 OP_BREAK_NOLOOP = 62   # ()
 OP_CONT_NOLOOP = 63    # ()
 OP_PROFILE = 64        # (label,)  profiler bump (instrument() only)
-OP_CALL_SHALLOW = 65   # (dst, site, recv|None)  transient shallow dfall
-OP_SNAPSHOT_SHALLOW = 66  # (dst, src, bounds, span)  transient re-snapshot
+OP_SNAPSHOT_SHALLOW = 65  # (dst, src, bounds, span)  transient re-snapshot
 
 OP_NAMES = {
     OP_FUEL: "FUEL", OP_JF_LT: "JF_LT", OP_JF_LE: "JF_LE",
@@ -150,8 +151,7 @@ OP_NAMES = {
     OP_POP_HANDLER: "POP_HANDLER", OP_THROW: "THROW",
     OP_RETURN_NONE: "RETURN_NONE", OP_FALLOFF: "FALLOFF",
     OP_BREAK_NOLOOP: "BREAK_NOLOOP", OP_CONT_NOLOOP: "CONT_NOLOOP",
-    OP_PROFILE: "PROFILE", OP_CALL_SHALLOW: "CALL_SHALLOW",
-    OP_SNAPSHOT_SHALLOW: "SNAPSHOT_SHALLOW",
+    OP_PROFILE: "PROFILE", OP_SNAPSHOT_SHALLOW: "SNAPSHOT_SHALLOW",
 }
 
 # ---------------------------------------------------------------------------
@@ -190,8 +190,7 @@ OP_COST_KEYS = {
     OP_POP_HANDLER: "control", OP_THROW: "control",
     OP_RETURN_NONE: "control", OP_FALLOFF: "control",
     OP_BREAK_NOLOOP: "control", OP_CONT_NOLOOP: "control",
-    OP_PROFILE: "control", OP_CALL_SHALLOW: "check.dfall",
-    OP_SNAPSHOT_SHALLOW: "check.snapshot_bound",
+    OP_PROFILE: "control", OP_SNAPSHOT_SHALLOW: "check.snapshot_bound",
 }
 
 
@@ -295,8 +294,8 @@ class _Lowering:
     def __init__(self, interp) -> None:
         self.interp = interp
         #: Transient check depth (``--checks transient``): residual
-        #: checks lower to the dedicated shallow opcodes so the VM and
-        #: JIT pay an O(1) tag probe instead of the deep helper call.
+        #: snapshots lower to ``SNAPSHOT_SHALLOW`` so the VM and JIT
+        #: pay an O(1) tag probe instead of the deep helper call.
         self.transient = interp._transient
         self.instrs: List[list] = []
         self.consts: List[object] = []
@@ -821,13 +820,8 @@ class _Lowering:
                         tuple(p[1] for p in pairs),
                         expr.elide_dfall, recv_is_this, raw)
         dest = self.temp() if dst is None else dst
-        if expr.elide_dfall:
-            call_op = OP_CALL_NODFALL
-        elif self.transient:
-            call_op = OP_CALL_SHALLOW
-        else:
-            call_op = OP_CALL_DFALL
-        self.emit(call_op, dest, site, recv_reg)
+        self.emit(OP_CALL_NODFALL if expr.elide_dfall else OP_CALL_DFALL,
+                  dest, site, recv_reg)
         return dest
 
     def _arg(self, expr) -> Tuple[int, Optional[int]]:
@@ -939,7 +933,6 @@ def instrument(code: VMCode) -> VMCode:
 _CHECK_NOTES = {
     OP_CALL_DFALL: ";; DFALL_CHECK",
     OP_CALL_NODFALL: ";; DFALL_CHECK elided by repro.analysis",
-    OP_CALL_SHALLOW: ";; DFALL_CHECK (transient: shallow tag probe)",
     OP_SNAPSHOT: ";; BOUND_CHECK",
     OP_SNAPSHOT_ELIDE: ";; BOUND_CHECK elided by repro.analysis",
     OP_SNAPSHOT_SHALLOW:

@@ -13,8 +13,11 @@ behaviour:
   tags the first snapshot in place and only copies from the second
   snapshot on.
 * **dfall** — the dynamic waterfall invariant is asserted on every
-  message; for well-typed programs this never fails (Corollary 1), and
-  the interpreter exposes an ``on_message`` hook so tests can verify it.
+  message: one probe of the lattice's closure table
+  (:attr:`~repro.core.modes.ModeLattice.up`).  For well-typed programs
+  it never fails (Corollary 1); every executed check emits a
+  ``DfallCheckEvent`` to an attached tracer, which is how the tests
+  verify it.
 * **Mode cases** — eliminated implicitly against the enclosing object's
   mode, or explicitly via ``mselect``.
 
@@ -34,10 +37,10 @@ Hot-path engineering (all behaviour-transparent; see
 * variable reads branch on the typechecker's ``resolved_kind``
   annotation instead of re-discovering what a name means on every
   evaluation;
-* method/attributor lookup, object-construction environments and the
-  dfall guard are memoized behind ``InterpOptions.inline_caches`` — a
-  toggle whose only purpose is letting the transparency test suite
-  assert that outputs, stats and exceptions are identical either way;
+* method/attributor lookup and object-construction environments are
+  memoized behind ``InterpOptions.inline_caches`` — a toggle whose
+  only purpose is letting the transparency test suite assert that
+  outputs, stats and exceptions are identical either way;
 * mode-case elimination threads the owning object's mode through the
   interpreter (``_elim_owner``) instead of stashing it on the shared
   AST node, so concurrent interpreters over one ``CheckedProgram``
@@ -49,7 +52,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from dataclasses import fields as field_list
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.errors import (BadCastError, EnergyException,
                                EntRuntimeError, FuelExhausted, StuckError)
@@ -116,9 +119,8 @@ class InterpOptions:
     baseline: bool = False
     lazy_copy: bool = True
     fuel: Optional[int] = None
-    check_dfall: bool = True
     #: Enable the run-time caches (flattened method tables, construction
-    #: templates, per-call-site inline caches, the dfall memo).
+    #: templates, per-call-site inline caches).
     #: Semantics are identical with the flag off; it exists so the
     #: transparency tests can compare cached and uncached runs
     #: bit-for-bit.
@@ -305,12 +307,6 @@ class Interpreter:
         self.stats = InterpStats()
         self.output: List[str] = []
         self.rng = random.Random(seed)
-        #: Optional instrumentation: called as
-        #: ``on_message(receiver_mode, sender_mode, holds)`` before every
-        #: user-object message (Corollary 1 tests).
-        self.on_message: Optional[Callable] = None
-        #: Called as ``on_snapshot(obj, mode, lower, upper, ok)``.
-        self.on_snapshot: Optional[Callable] = None
         # ---- run-time caches (see docs/PERFORMANCE.md) ----------------
         #: Mode constants by name — static lattice data, always on.
         self._mode_by_name: Dict[str, Mode] = {
@@ -323,8 +319,6 @@ class Interpreter:
         self._env_templates: Dict[tuple, Dict[str, Optional[Mode]]] = {}
         #: class name -> (field defaults, ((name, init, wants_mcase),…)).
         self._field_templates: Dict[str, tuple] = {}
-        #: (receiver mode, sender mode) -> waterfall-invariant verdict.
-        self._dfall_cache: Dict[Tuple[Mode, Mode], bool] = {}
         #: id(MethodInfo) -> per-parameter wants-mcase tuple (static
         #: typed data, like ``_mode_by_name``; always on).
         self._param_wants: Dict[int, tuple] = {}
@@ -342,20 +336,15 @@ class Interpreter:
         self._fuel = self.options.fuel
         from repro.lang.engines import resolve_engine
         self.engine = engine = resolve_engine(self.options.engine)
-        # Transient checking (``--checks transient``): deep checks
-        # collapse to tag comparisons against a precomputed upward-
-        # closure table — O(1) set probes instead of lattice walks.
+        #: The lattice's closure table (``b in _mode_up[a]`` is
+        #: ``a <= b``), bound once for the check paths of every engine.
+        self._mode_up = self.lattice.up
+        # Transient checking (``--checks transient``): re-snapshots
+        # collapse to tag comparisons against the closure table.
         # Meaningless under baseline (no checks run at all).  Computed
-        # before the VM is constructed: bytecode lowering and the VM's
-        # fast-path gates read it.
+        # before the VM is constructed: bytecode lowering reads it.
         self._transient = (self.options.checks == "transient"
                            and not self.options.baseline)
-        self._mode_up: Dict[Mode, frozenset] = {}
-        if self._transient:
-            modes = tuple(self.lattice.modes)
-            self._mode_up = {
-                m: frozenset(x for x in modes if self.lattice.leq(m, x))
-                for m in modes}
         self._vm = None
         if engine == "vm" or engine == "jit":
             from repro.lang.vm import VM, JITVM
@@ -366,12 +355,10 @@ class Interpreter:
         # Planner-driven check elision, fixed at construction.  Off
         # under silent (failed checks are *allowed* there, so snapshot
         # facts are not enforced) and baseline (no checks exist to
-        # elide); the dfall variant additionally requires check_dfall.
+        # elide).
         opts = self.options
-        elide = (opts.elide_checks and not opts.silent
-                 and not opts.baseline)
-        self._elide_bound_on = elide
-        self._elide_dfall_on = elide and opts.check_dfall
+        self._elide_on = (opts.elide_checks and not opts.silent
+                          and not opts.baseline)
         if self.profiler.enabled:
             self._install_profiling()
 
@@ -681,7 +668,7 @@ class Interpreter:
         else:
             guard = receiver.effective_mode
             closure = guard if guard is not None else frame.current_mode
-        if elide_dfall and not self_call and self._elide_dfall_on:
+        if elide_dfall and not self_call and self._elide_on:
             # The planner proved this check always holds (see
             # docs/ANALYSIS.md); skip it but keep the count so the
             # transparency suite can fold executed + elided together.
@@ -771,7 +758,7 @@ class Interpreter:
                      sender: Optional[Mode], self_call: bool,
                      receiver: ObjectV, minfo: MethodInfo, span) -> None:
         """The dynamic waterfall invariant ``dfall(o, m)``."""
-        if self.options.baseline or not self.options.check_dfall:
+        if self.options.baseline:
             return
         if self_call:
             # Internal view: an object may always message itself.
@@ -788,26 +775,14 @@ class Interpreter:
                 f"program cannot reach this state")
         sender_mode = sender if sender is not None else TOP
         if self._transient:
-            # Shallow tag comparison: one set probe against the
-            # precomputed upward closure, no lattice walk.
             self.stats.shallow_checks += 1
-            holds = sender_mode in self._mode_up[guard]
-        elif self.options.inline_caches:
-            key = (guard, sender_mode)
-            holds = self._dfall_cache.get(key)
-            if holds is None:
-                holds = self.lattice.leq(guard, sender_mode)
-                self._dfall_cache[key] = holds
-        else:
-            holds = self.lattice.leq(guard, sender_mode)
+        holds = sender_mode in self._mode_up[guard]
         if self.tracer.enabled:
             self.tracer.emit(DfallCheckEvent(
                 ts=self.tracer.now(), cls=receiver.class_info.name,
                 method=minfo.name, receiver_mode=guard.name,
                 sender_mode=sender_mode.name, holds=holds,
                 source="interp"))
-        if self.on_message is not None:
-            self.on_message(guard, sender_mode, holds)
         if not holds and not self.options.silent:
             self.stats.energy_exceptions += 1
             message = (f"waterfall invariant violated: receiver mode "
@@ -1422,7 +1397,7 @@ class Interpreter:
             if first.var is not None:
                 value.mode_env[first.var] = mode
             return value
-        elided = elide_bound and self._elide_bound_on
+        elided = elide_bound and self._elide_on
         if elided:
             # The planner proved the bound check vacuous or entailed by
             # the attributor's possible modes (see docs/ANALYSIS.md);
@@ -1432,7 +1407,7 @@ class Interpreter:
             if self.profiler.enabled:
                 self.profiler.check_elided("snapshot_bound", span)
             ok = True
-            if traced or self.on_snapshot is not None:
+            if traced:
                 lower = self._resolve_atom(bounds[0], frame)
                 upper = self._resolve_atom(bounds[1], frame)
                 lower = lower if lower is not None else BOTTOM
@@ -1458,8 +1433,6 @@ class Interpreter:
                 mode=mode.name, lower=lower.name, upper=upper.name, ok=ok,
                 lazy=ok and self.options.lazy_copy and not value.is_snapshot,
                 source="interp", bound_elided=elided))
-        if self.on_snapshot is not None:
-            self.on_snapshot(value, mode, lower, upper, ok)
         if not ok and not self.options.silent:
             self.stats.energy_exceptions += 1
             message = (f"bad check: attributor of "
@@ -1494,12 +1467,12 @@ class Interpreter:
                           elide_bound: bool, span) -> object:
         """The transient re-snapshot check (``--checks transient``): an
         O(1) comparison of the established mode tag against the bounds
-        via the precomputed upward-closure table.  No attributor run,
+        via the lattice's closure table.  No attributor run,
         no copy — monotonic type change is preserved because the tag
         was fixed by the first (deep) snapshot."""
         self.stats.snapshots += 1
         mode = value.effective_mode
-        if elide_bound and self._elide_bound_on:
+        if elide_bound and self._elide_on:
             self.stats.bound_checks_elided += 1
             if self.profiler.enabled:
                 self.profiler.check_elided("snapshot_bound", span)
@@ -1520,8 +1493,6 @@ class Interpreter:
                 ts=self.tracer.now(), cls=value.class_info.name,
                 mode=mode.name, lower=lower.name, upper=upper.name,
                 ok=ok, lazy=False, source="interp"))
-        if self.on_snapshot is not None:
-            self.on_snapshot(value, mode, lower, upper, ok)
         if not ok and not self.options.silent:
             self.stats.energy_exceptions += 1
             message = (f"bad check: attributor of "

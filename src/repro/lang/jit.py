@@ -1,4 +1,4 @@
-"""The trace-JIT: ENT's fourth execution engine (``--engine jit``).
+"""The trace-JIT: ENT's third execution engine (``--engine jit``).
 
 The register VM (:mod:`repro.lang.vm`) dispatches one opcode at a time.
 This module removes that last layer of interpretation on hot paths: when
@@ -13,10 +13,10 @@ emitted code:
   monomorphic site emits a direct ``class_info is C`` identity test and,
   on success, enters the callee's register frame with no method lookup,
   no argument-descriptor interpretation and no dispatch loop.
-* **Check elision** exactly where the PR 4 planner proved it safe: a
+* **Check elision** exactly where the planner proved it safe: a
   ``CALL_NODFALL`` site emits a bare ``dfall_elided`` counter bump (the
   engine-invariant accounting), a ``CALL_DFALL`` site emits the inlined
-  waterfall-memo probe with the full :meth:`Interpreter._check_dfall`
+  closure-table probe with the full :meth:`Interpreter._check_dfall`
   fallback, and ``SNAPSHOT``/``SNAPSHOT_ELIDE`` keep their helper calls.
 * **Deopt guards**: when a specialization assumption breaks (the
   receiver's class changed under a hot site), the emitted code falls
@@ -52,11 +52,10 @@ matches the VM exactly, and the divergence bound holds unchanged.
 from __future__ import annotations
 
 from repro.core.errors import StuckError
-from repro.core.modes import TOP, Mode
+from repro.core.modes import Mode
 from repro.lang.bytecode import (
     OP_ADD, OP_BREAK_NOLOOP, OP_CALL_DFALL, OP_CALL_NATIVE,
-    OP_CALL_NODFALL, OP_CALL_SHALLOW, OP_CAST, OP_CAST_ERR,
-    OP_CONT_NOLOOP, OP_DIV,
+    OP_CALL_NODFALL, OP_CAST, OP_CAST_ERR, OP_CONT_NOLOOP, OP_DIV,
     OP_EQ, OP_FALLOFF, OP_FIELD_ADD, OP_FOREACH_INIT, OP_FOREACH_ITER,
     OP_FUEL, OP_GE, OP_GETF, OP_GETF_ARG, OP_GETF_RAW, OP_GETF_THIS,
     OP_GETF_THIS_ARG, OP_GETF_THIS_RAW, OP_GT, OP_INC, OP_INSTANCEOF,
@@ -305,7 +304,6 @@ class _Emitter:
                 ("_cast", interp._cast_value),
                 ("_render", interp.render),
                 ("_modes", interp._mode_by_name),
-                ("_dfall_cache", interp._dfall_cache),
                 ("_is_sub", interp.table.is_subclass),
                 ("call_native_static", call_native_static),
                 ("call_string_method", call_string_method),
@@ -378,8 +376,7 @@ class _Emitter:
             w(d, "else:")
             w(d + 1, f"_pc = {i + 1}")
             return True
-        if op == OP_CALL_DFALL or op == OP_CALL_NODFALL \
-                or op == OP_CALL_SHALLOW:
+        if op == OP_CALL_DFALL or op == OP_CALL_NODFALL:
             self._emit_call(d, inst, op)
             return False
         if op in _ARITH:
@@ -603,20 +600,19 @@ class _Emitter:
                 or op == OP_SNAPSHOT_SHALLOW:
             elide = op == OP_SNAPSHOT_ELIDE
             bounds = inst[3]
-            if (op == OP_SNAPSHOT_SHALLOW and self.vm._shallow_plain
+            if (op == OP_SNAPSHOT_SHALLOW
                     and bounds[0].__class__ is Mode
                     and bounds[1].__class__ is Mode):
                 # Transient re-snapshot, concrete bounds: specialize
                 # the passing probe to two set-membership tests; the
-                # first snapshot, hooks, and failures take the helper.
+                # first snapshot and failures take the helper.
                 up = self.bind(self.interp._mode_up, "_mode_up")
                 up_lo = self.bind(self.interp._mode_up[bounds[0]])
                 hi = self.bind(bounds[1])
                 slow = (f"_snapshot(_v, {self.lit(bounds)}, frame, "
                         f"elide_bound=False, span={self.lit(inst[4])})")
                 w(d, f"_v = {self.reg(inst[2])}")
-                w(d, "if (_v.__class__ is ObjectV and _v.is_snapshot "
-                     "and _interp.on_snapshot is None):")
+                w(d, "if _v.__class__ is ObjectV and _v.is_snapshot:")
                 w(d + 1, "_m = _v.effective_mode")
                 w(d + 1, f"if _m in {up_lo} and {hi} in {up}[_m]:")
                 w(d + 2, "_stats.snapshots += 1")
@@ -836,33 +832,23 @@ class _Emitter:
 
     def _emit_dfall(self, d, op, minfo_name, span_expr) -> None:
         """The waterfall check at a non-self leaf send: planner-elided
-        counting, the transient shallow probe, the inlined memo probe,
-        or the full helper — the same split as the VM's leaf path."""
+        counting, the inlined closure-table probe, or (baseline) the
+        helper — the same split as the VM's leaf path."""
         w = self.w
-        if op == OP_CALL_NODFALL and self.interp._elide_dfall_on:
+        helper = (f"_check_dfall(_gm, current_mode, False, _recv, "
+                  f"{minfo_name}, {span_expr})")
+        if op == OP_CALL_NODFALL and self.interp._elide_on:
             w(d, "_stats.dfall_elided += 1")
-        elif op == OP_CALL_SHALLOW and self.vm._dfall_plain:
+        elif self.vm._dfall_counted:
             up = self.bind(self.interp._mode_up, "_mode_up")
-            top = self.bind(TOP, "_TOP")
-            w(d, "_sm = (current_mode if current_mode is not None "
-                 f"else {top})")
-            w(d, "if _interp.on_message is None and _gm is not None "
-                 f"and _sm in {up}[_gm]:")
+            w(d, f"if _gm is not None and current_mode in {up}[_gm]:")
             w(d + 1, "_stats.dfall_checks += 1")
-            w(d + 1, "_stats.shallow_checks += 1")
+            if self.interp._transient:
+                w(d + 1, "_stats.shallow_checks += 1")
             w(d, "else:")
-            w(d + 1, f"_check_dfall(_gm, current_mode, False, _recv, "
-                     f"{minfo_name}, {span_expr})")
-        elif self.vm._dfall_plain:
-            w(d, "if _interp.on_message is None and _dfall_cache.get("
-                 "(_gm, current_mode)) is True:")
-            w(d + 1, "_stats.dfall_checks += 1")
-            w(d, "else:")
-            w(d + 1, f"_check_dfall(_gm, current_mode, False, _recv, "
-                     f"{minfo_name}, {span_expr})")
+            w(d + 1, helper)
         else:
-            w(d, f"_check_dfall(_gm, current_mode, False, _recv, "
-                 f"{minfo_name}, {span_expr})")
+            w(d, helper)
 
 
 def compile_body(vm, code):

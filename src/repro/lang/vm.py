@@ -40,11 +40,10 @@ from __future__ import annotations
 
 from repro.core.errors import (EnergyException, EntRuntimeError,
                                FuelExhausted, StuckError)
-from repro.core.modes import TOP, Mode
+from repro.core.modes import Mode
 from repro.lang.bytecode import (  # noqa: F401 (re-exported for tests)
     OP_ADD, OP_BREAK_NOLOOP, OP_CALL_DFALL, OP_CALL_NATIVE,
-    OP_CALL_NODFALL, OP_CALL_SHALLOW, OP_CAST, OP_CAST_ERR,
-    OP_CONT_NOLOOP, OP_DIV,
+    OP_CALL_NODFALL, OP_CAST, OP_CAST_ERR, OP_CONT_NOLOOP, OP_DIV,
     OP_EQ, OP_FALLOFF, OP_FIELD_ADD, OP_FOREACH_INIT, OP_FOREACH_ITER,
     OP_FUEL, OP_GE, OP_GETF, OP_GETF_ARG, OP_GETF_RAW, OP_GETF_THIS,
     OP_GETF_THIS_ARG, OP_GETF_THIS_RAW, OP_GT, OP_INC, OP_INSTANCEOF,
@@ -109,20 +108,9 @@ class VM:
         #: profiles are emitted.
         self._fast_ok = (not interp.tracer.enabled
                          and not interp.profiler.enabled)
-        #: Gate for the inlined dfall-cache hit (below): only when the
-        #: full :meth:`Interpreter._check_dfall` would count the check,
-        #: probe the memo and raise nothing on a positive verdict.
-        opts = interp.options
-        self._dfall_plain = (not opts.baseline and opts.check_dfall
-                             and not interp.tracer.enabled
-                             and not interp.profiler.enabled)
-        #: Transient fast-path gate (``--checks transient``): the
-        #: shallow opcodes inline the upward-closure probe only when
-        #: nothing needs the deep helper's observability (tracer
-        #: events, profiler counters); hooks are re-probed at dispatch.
-        self._shallow_plain = (interp._transient
-                               and not interp.tracer.enabled
-                               and not interp.profiler.enabled)
+        #: Whether a passing dfall check is counted (everywhere but the
+        #: baseline build, which runs no checks); read by the leaf path.
+        self._dfall_counted = not interp.options.baseline
 
     # ------------------------------------------------------------------
     # Entry points (wired as ``Interpreter._call_body`` /
@@ -372,8 +360,7 @@ class VM:
                         if interp.values_equal(regs[inst[2]],
                                                regs[inst[3]]):
                             pc = inst[1]
-                    elif op == OP_CALL_DFALL or op == OP_CALL_NODFALL \
-                            or op == OP_CALL_SHALLOW:
+                    elif op == OP_CALL_DFALL or op == OP_CALL_NODFALL:
                         site = inst[2]
                         rv = inst[3]
                         if rv is None:
@@ -421,32 +408,20 @@ class VM:
                                     guard = receiver.effective_mode
                                     if not self_call:
                                         if (op == OP_CALL_NODFALL
-                                                and interp._elide_dfall_on):
+                                                and interp._elide_on):
                                             stats.dfall_elided += 1
-                                        # Transient shallow probe: one
-                                        # set-membership test against
-                                        # the upward closure; failures
-                                        # re-enter the full helper for
-                                        # the blame-carrying raise.
-                                        elif (op == OP_CALL_SHALLOW
-                                              and self._dfall_plain
-                                              and interp.on_message is None
+                                        # Passing check: one probe of
+                                        # the closure table.  Failures,
+                                        # un-snapshotted receivers and
+                                        # a ``None`` sender re-enter the
+                                        # helper, which owns the raise.
+                                        elif (self._dfall_counted
                                               and guard is not None
-                                              and (current_mode
-                                                   if current_mode
-                                                   is not None else TOP)
+                                              and current_mode
                                               in interp._mode_up[guard]):
                                             stats.dfall_checks += 1
-                                            stats.shallow_checks += 1
-                                        # Inlined memo hit: the full
-                                        # check would only bump the
-                                        # counter and pass.
-                                        elif (self._dfall_plain
-                                              and interp.on_message is None
-                                              and interp._dfall_cache.get(
-                                                  (guard, current_mode))
-                                              is True):
-                                            stats.dfall_checks += 1
+                                            if interp._transient:
+                                                stats.shallow_checks += 1
                                         else:
                                             interp._check_dfall(
                                                 guard, current_mode,
@@ -811,14 +786,13 @@ class VM:
                         # Transient re-snapshot: when the tag is
                         # already fixed and the bounds are concrete,
                         # the whole check is two set probes; anything
-                        # else (first snapshot, hooks, symbolic
-                        # bounds, failures) re-enters the shared
-                        # helper, which owns the blame raise.
+                        # else (first snapshot, symbolic bounds,
+                        # failures, traced or profiled runs) re-enters
+                        # the shared helper, which owns the blame raise.
                         src = regs[inst[2]]
-                        if (self._shallow_plain
+                        if (self._fast_ok
                                 and src.__class__ is ObjectV
-                                and src.is_snapshot
-                                and interp.on_snapshot is None):
+                                and src.is_snapshot):
                             bounds = inst[3]
                             lower = bounds[0]
                             upper = bounds[1]

@@ -144,20 +144,13 @@ class TestEmbeddedDeviceStatePickle:
             assert rt2.stats.as_dict() == rt.stats.as_dict()
             assert rt2.current_mode is rt.current_mode
             # Identical subsequent semantics: same mode decisions,
-            # same counter movement.  dfall_memo_hits is excluded: the
-            # verdict memo belongs to the (possibly shared) runtime,
-            # not to the device — rt's memo is warm, rt2's is cold.
+            # same counter movement.
             for r, a in ((rt, agent), (rt2, agent2)):
                 snap = r.snapshot(a)
                 with r.booted(snap):
                     snap.work()
 
-            def semantic(stats):
-                counters = stats.as_dict()
-                counters.pop("dfall_memo_hits")
-                return counters
-
-            assert semantic(rt2.stats) == semantic(rt.stats)
+            assert rt2.stats.as_dict() == rt.stats.as_dict()
 
     def test_reset_device_restores_boot_state(self):
         platform, rt, agent_cls = self._runtime_with_agent(0)

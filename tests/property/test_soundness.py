@@ -6,8 +6,9 @@ bounded and unbounded snapshots (with and without handlers), messaging,
 mode-case elimination, and loops.  Every generated program must
 typecheck, and every run must either produce a value, exhaust its fuel
 (divergence), or stop at an EnergyException from a bad check — never a
-stuck state (``StuckError``).  An ``on_message`` hook asserts the
-dynamic waterfall invariant on every message (Corollary 1).
+stuck state (``StuckError``).  A tracer's ``DfallCheckEvent`` stream
+asserts the dynamic waterfall invariant on every message (Corollary 1)
+on every engine under both check depths.
 """
 
 from hypothesis import given, settings
@@ -15,8 +16,11 @@ from hypothesis import strategies as st
 
 from repro.core.errors import (EnergyException, EntError, FuelExhausted,
                                StuckError)
+from repro.lang.engines import ENGINES
 from repro.lang.interp import Interpreter, InterpOptions
 from repro.lang.typechecker import check_program
+from repro.obs.events import DfallCheckEvent
+from repro.obs.tracer import Tracer
 
 HEADER = """
 modes { energy_saver <= managed; managed <= full_throttle; }
@@ -125,21 +129,47 @@ def test_soundness_never_stuck(source):
         raise AssertionError(f"stuck state reached: {exc}\n{source}")
 
 
-@settings(max_examples=40, deadline=None)
-@given(programs())
-def test_waterfall_invariant_preservation(source):
-    """Corollary 1: dfall holds at every message of a well-typed run."""
-    checked = check_program(source)
-    interp = Interpreter(checked, options=InterpOptions(fuel=200_000))
-    violations = []
-    interp.on_message = (
-        lambda guard, sender, holds:
-        violations.append((guard, sender)) if not holds else None)
+def _run_to_end(interp):
     try:
         interp.run()
     except (EnergyException, FuelExhausted):
         pass
-    assert not violations, (violations, source)
+    return interp
+
+
+@settings(max_examples=40, deadline=None)
+@given(programs())
+def test_waterfall_invariant_preservation(source):
+    """Corollary 1: dfall holds at every message of a well-typed run,
+    on every engine under both check depths.
+
+    The gate cannot pass vacuously: the tracer must have kept every
+    event, and it must have seen exactly the executed checks the stats
+    count (at least the boot send to ``Main.main``).  An untraced run
+    (the VM's leaf path; the JIT compiling every body on first entry)
+    must count the same checks as the traced one."""
+    checked = check_program(source)
+    for engine in ENGINES:
+        for checks in ("full", "transient"):
+            config = (engine, checks)
+            options = InterpOptions(fuel=200_000, engine=engine,
+                                    checks=checks)
+            tracer = Tracer()
+            traced = _run_to_end(Interpreter(checked, options=options,
+                                             tracer=tracer))
+            assert tracer.dropped == 0, config
+            executed = [e for e in tracer.events()
+                        if isinstance(e, DfallCheckEvent) and not e.elided]
+            assert len(executed) == traced.stats.dfall_checks > 0, (
+                config, len(executed), traced.stats.dfall_checks)
+            violations = [e for e in executed if not e.holds]
+            assert not violations, (config, violations, source)
+            untraced = Interpreter(checked, options=options)
+            if engine == "jit":
+                untraced._vm._hot_call = untraced._vm._hot_loop = 1
+            _run_to_end(untraced)
+            assert (untraced.stats.dfall_checks
+                    == traced.stats.dfall_checks), config
 
 
 @settings(max_examples=30, deadline=None)

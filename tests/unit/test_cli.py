@@ -1,10 +1,13 @@
 """Unit tests for the ``python -m repro`` command-line interface."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 GOOD = """
 modes { energy_saver <= managed; managed <= full_throttle; }
@@ -43,6 +46,24 @@ class D@mode<?X> {
 class Main {
     void main() { D d = snapshot (new D@mode<?>()) [_, lo]; }
 }
+"""
+
+#: Embedded-API code with one lint error (E002: a high-mode static
+#: object messaged from a lower boot mode).
+BAD_EMBEDDED = """
+from repro.core.modes import ModeLattice
+from repro.runtime.embedded import EntRuntime
+rt = EntRuntime(ModeLattice.linear(["low", "mid", "high"]))
+
+@rt.static("high")
+class Burner:
+    def go(self):
+        pass
+
+def main():
+    b = Burner()
+    with rt.booted("mid"):
+        b.go()
 """
 
 
@@ -272,3 +293,32 @@ class TestPrettyAndTokens:
         out = capsys.readouterr().out
         assert "KW_SNAPSHOT" in out
         assert "EOF" in out
+
+
+class TestLint:
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in (ROOT / "examples").glob("*.py"))
+        + ["bad_embedded.py"])
+    def test_lint_matches_analyze_embedded(self, name, program, capsys):
+        path = (program(BAD_EMBEDDED, name) if name == "bad_embedded.py"
+                else str(ROOT / "examples" / name))
+        lint_rc = main(["lint", path])
+        lint_out = capsys.readouterr().out
+        analyze_rc = main(["analyze", "--embedded", path])
+        assert (lint_rc, lint_out) == (analyze_rc, capsys.readouterr().out)
+        if name == "bad_embedded.py":
+            assert lint_rc == 1 and "E002" in lint_out
+
+
+class TestJobs:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "figure8"], ["eval", "export"], ["eval", "drain"],
+        ["eval", "advise"],
+        ["advise", str(ROOT / "examples" / "ent" / "crawler.ent")],
+    ], ids=["eval-figure8", "eval-export", "eval-drain", "eval-advise",
+            "advise"])
+    def test_negative_jobs_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", "-3"])
+        assert exc.value.code == 2
+        assert "--jobs: must be >= 0, got -3" in capsys.readouterr().err

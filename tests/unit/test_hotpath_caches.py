@@ -1,7 +1,6 @@
-"""Unit tests for the PR-3 hot-path caches: flattened method tables,
-per-call-site inline caches, slot-resolved register frames, the dfall
-memo, and the ``--no-inline-caches`` escape hatch (see
-docs/PERFORMANCE.md)."""
+"""Unit tests for the hot-path caches: flattened method tables,
+per-call-site inline caches, slot-resolved register frames, and the
+``--no-inline-caches`` escape hatch (see docs/PERFORMANCE.md)."""
 
 import pytest
 
@@ -120,21 +119,24 @@ class Main {
     }
 }
 """
+    # Constructor + 25 pings: 26 checks on every engine, with and
+    # without the run-time caches — the VM's leaf path and the JIT's
+    # inlined probe count exactly what the walk's helper counts.  The
+    # JIT tiers up a few iterations in, once the ping site's inline
+    # cache is warm, so the compiled loop inlines the probe.
     checked = check_program(source)
-    interp = Interpreter(checked, options=InterpOptions())
-    interp.run()
-    # Constructor + 25 pings: 26 checks, but only two distinct
-    # (guard, sender) pairs — the memo stays tiny no matter how hot
-    # the loop is.
-    assert interp.stats.dfall_checks == 26
-    assert len(interp._dfall_cache) == 2
-    assert all(interp._dfall_cache.values())
-
-    uncached = Interpreter(check_program(source),
-                           options=InterpOptions(inline_caches=False))
-    uncached.run()
-    assert uncached.stats.dfall_checks == 26
-    assert len(uncached._dfall_cache) == 0
+    for engine in ENGINES:
+        for inline_caches in (True, False):
+            interp = Interpreter(checked, options=InterpOptions(
+                engine=engine, inline_caches=inline_caches))
+            if engine == "jit":
+                interp._vm._hot_call = interp._vm._hot_loop = 5
+            interp.run()
+            assert interp.stats.dfall_checks == 26, (engine,
+                                                     inline_caches)
+            assert interp.stats.energy_exceptions == 0
+            if engine == "jit" and inline_caches:
+                assert interp._vm.jit_compiles >= 1
 
 
 def test_cli_no_inline_caches_flag(tmp_path, capsys):

@@ -5,8 +5,9 @@ waterfall, silent mode, and method-level attributors."""
 import pytest
 
 from repro.core.errors import EnergyException
-from repro.core.modes import Mode
 from repro.lang.interp import InterpOptions, NullPlatform, run_source
+from repro.obs.events import DfallCheckEvent, SnapshotEvent
+from repro.obs.tracer import Tracer
 
 MODES = "modes { energy_saver <= managed; managed <= full_throttle; }\n"
 
@@ -131,19 +132,16 @@ class TestSnapshotSemantics:
         """)
         assert interp.output == ["2", "3"]
 
-    def test_on_snapshot_hook(self):
-        events = []
-        source = (MODES + SITE +
-                  "class Main { void main() {"
-                  "Site ds = new Site(300); Site s = snapshot ds;"
-                  "} }")
-        from repro.lang.typechecker import check_program
-        from repro.lang.interp import Interpreter
-        interp = Interpreter(check_program(source))
-        interp.on_snapshot = lambda *args: events.append(args)
-        interp.run()
+    def test_snapshot_event_observed(self):
+        # Snapshots are observed through the tracer's SnapshotEvent.
+        tracer = Tracer()
+        run("Site ds = new Site(300); Site s = snapshot ds;",
+            tracer=tracer)
+        events = [e for e in tracer.events()
+                  if isinstance(e, SnapshotEvent)]
         assert len(events) == 1
-        assert events[0][1] == Mode("full_throttle")
+        assert events[0].mode == "full_throttle"
+        assert events[0].ok
 
 
 class TestModeCases:
@@ -222,20 +220,14 @@ class TestDynamicWaterfall:
         assert interp.output == ["3"]
         assert interp.stats.energy_exceptions == 0
 
-    def test_on_message_dfall_holds(self):
-        checks = []
-        source = (MODES + self.AGENT +
-                  "class Main { void main() {"
-                  "Agent da = new Agent(); Agent a = snapshot da;"
-                  "Sys.print(a.work(100)); } }")
-        from repro.lang.typechecker import check_program
-        from repro.lang.interp import Interpreter
-        interp = Interpreter(check_program(source),
-                             platform=_Battery(0.9))
-        interp.on_message = (
-            lambda guard, sender, holds: checks.append(holds))
-        interp.run()
+    def test_dfall_events_hold(self):
+        # Messages are observed through the tracer's DfallCheckEvent.
+        tracer = Tracer()
+        interp = self._crawl(0.9, 100, tracer=tracer)
+        checks = [e.holds for e in tracer.events()
+                  if isinstance(e, DfallCheckEvent)]
         assert checks and all(checks)
+        assert len(checks) == interp.stats.dfall_checks
 
     def test_baseline_mode_skips_bookkeeping(self):
         interp = self._crawl(0.6, 300,

@@ -247,9 +247,10 @@ class Main {
 
 
 class TestShallowOpcodes:
-    """Transient checking lowers to dedicated shallow opcodes
-    (``CALL_SHALLOW``/``SNAPSHOT_SHALLOW``) and the JIT inlines the
-    matching tag probes; full checking must never emit them."""
+    """Transient checking lowers residual snapshots to the dedicated
+    ``SNAPSHOT_SHALLOW`` opcode and the JIT inlines the matching tag
+    probe; full checking must never emit it.  Sends lower to
+    ``CALL_DFALL`` under both check depths."""
 
     PROGRAM = MODES + """
 class R@mode<?X> {
@@ -288,12 +289,10 @@ class Main {
     def test_transient_lowering_uses_shallow_opcodes(self):
         listing = self._main_listing("transient")
         assert "SNAPSHOT_SHALLOW" in listing
-        assert "CALL_SHALLOW" in listing
         assert ";; BOUND_CHECK (transient: tag-vs-bounds probe)" \
             in listing
-        assert ";; DFALL_CHECK (transient: shallow tag probe)" \
-            in listing
-        assert "CALL_DFALL" not in listing
+        assert "CALL_DFALL" in listing
+        assert ";; DFALL_CHECK" in listing
 
     def test_full_lowering_keeps_deep_opcodes(self):
         listing = self._main_listing("full")
