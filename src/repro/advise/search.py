@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import EnergyException, EntError
-from repro.core.jobs import resolve_jobs
+from repro.core.jobs import map_jobs, resolve_jobs
 from repro.core.rng import SplitMix64, derive_seed
 from repro.lang.engines import DEFAULT_ENGINE, resolve_engine
 from repro.lang.lexer import tokenize
@@ -443,17 +442,9 @@ def advise_source(source: str, file: str = "<advise>",
                 }
 
     keys = sorted(tasks)
-    results: Dict[Tuple[int, int, int], Dict[str, object]] = {}
-    jobs = resolve_jobs(cfg.jobs)
-    if jobs > 1 and len(keys) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, result in zip(
-                    keys, pool.map(_calibration_worker,
-                                   [tasks[k] for k in keys])):
-                results[key] = result
-    else:
-        for key in keys:
-            results[key] = _calibration_worker(tasks[key])
+    results: Dict[Tuple[int, int, int], Dict[str, object]] = dict(zip(
+        keys, map_jobs(_calibration_worker, [tasks[k] for k in keys],
+                       resolve_jobs(cfg.jobs))))
 
     # -- baseline attributor distribution ------------------------------
     baseline_idx = next(

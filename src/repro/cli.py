@@ -80,7 +80,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.errors import EnergyException, EntError
-from repro.core.jobs import non_negative_int
+from repro.core.jobs import non_negative_int, positive_int
 from repro.lang.engines import ENGINES, resolve_engine
 from repro.lang.interp import Interpreter, InterpOptions
 from repro.lang.lexer import tokenize
@@ -317,10 +317,12 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
     fleet_run = fleet_sub.add_parser(
         "run", help="simulate a device population across shards")
-    fleet_run.add_argument("--devices", type=int, default=10_000,
+    fleet_run.add_argument("--devices", type=non_negative_int,
+                           default=10_000,
                            help="population size (default 10000)")
-    fleet_run.add_argument("--shards", type=int, default=1,
-                           help="worker processes; 1 runs in-process")
+    fleet_run.add_argument("--shards", type=non_negative_int, default=1,
+                           help="worker processes; 0 or 1 runs "
+                                "in-process")
     fleet_run.add_argument("--engine", choices=["batched", "embedded"],
                            default="batched",
                            help="batched (shared platforms/runtime per "
@@ -328,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "objects per device; the differential "
                                 "reference)")
     fleet_run.add_argument("--seed", type=int, default=0)
-    fleet_run.add_argument("--steps", type=int, default=16,
+    fleet_run.add_argument("--steps", type=positive_int, default=16,
                            help="adaptive-loop iterations per device")
     fleet_run.add_argument("--json", action="store_true",
                            help="emit the full report as one JSON "
@@ -340,8 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="write aggregates in Prometheus text "
                                 "exposition format to PATH")
     fleet_run.add_argument("--progress", action="store_true",
-                           help="print one line per completed shard "
-                                "(stderr)")
+                           help="print one line per shard, in shard "
+                                "order (stderr)")
 
     evaluate = sub.add_parser(
         "eval", add_help=False,

@@ -27,11 +27,11 @@ without giving up the serial harness's two guarantees:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro.core.jobs import resolve_jobs
+from repro.core.jobs import map_jobs, resolve_jobs
 from repro.obs.prof import NULL_PROFILER, Profiler
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.workloads.registry import get_workload
@@ -95,7 +95,7 @@ def _run_one(task: EpisodeTask, tracer, profiler=NULL_PROFILER) -> object:
 def _pool_worker(task: EpisodeTask, trace_capacity: Optional[int],
                  profile: bool = False) -> Tuple:
     """Worker entry point: run the task, return
-    ``(key, result, events, dropped, profile)``.
+    ``(result, events, dropped, profile)``.
 
     Must stay module-level so the pool can pickle it.  The worker's
     tracer ring travels back as a plain event list (events carry only
@@ -113,8 +113,8 @@ def _pool_worker(task: EpisodeTask, trace_capacity: Optional[int],
         events, dropped = [], 0
     if profile:
         profiler.finish()
-        return task.key, result, events, dropped, profiler.profile
-    return task.key, result, events, dropped, None
+        return result, events, dropped, profiler.profile
+    return result, events, dropped, None
 
 
 def run_episodes(tasks: Iterable[EpisodeTask],
@@ -125,9 +125,9 @@ def run_episodes(tasks: Iterable[EpisodeTask],
     """Run every task, returning ``{task.key: result}``.
 
     Serial (``jobs`` None/1) runs tasks in submission order in-process,
-    sharing ``tracer`` and ``profiler`` directly.  Parallel submits
-    them to a process pool and reassembles results *by key in
-    submission order*, merging each worker's tracer ring into
+    sharing ``tracer`` and ``profiler`` directly.  Parallel runs them
+    through :func:`~repro.core.jobs.map_jobs`, which returns results
+    in submission order, merging each worker's tracer ring into
     ``tracer`` at the same point the serial run would have emitted it —
     so both the result mapping and the merged event stream are
     identical to the serial run's.  Worker check/call counts are folded
@@ -138,11 +138,6 @@ def run_episodes(tasks: Iterable[EpisodeTask],
     tracer = tracer if tracer is not None else NULL_TRACER
     profiler = profiler if profiler is not None else NULL_PROFILER
     tasks = list(tasks)
-    if not tasks:
-        # Empty batch: return the empty aggregate up front.  This must
-        # never fall through to the pool path — ``min(workers, 0)``
-        # would ask ProcessPoolExecutor for max_workers=0, a ValueError.
-        return {}
     keys = [task.key for task in tasks]
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate EpisodeTask keys in one batch")
@@ -150,18 +145,13 @@ def run_episodes(tasks: Iterable[EpisodeTask],
     if workers <= 1 or len(tasks) <= 1:
         return {task.key: _run_one(task, tracer, profiler)
                 for task in tasks}
-    capacity = trace_capacity if tracer.enabled else None
-    collected: Dict[Tuple, Tuple[object, List, int, object]] = {}
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        futures = [pool.submit(_pool_worker, task, capacity,
-                               profiler.enabled)
-                   for task in tasks]
-        for future in as_completed(futures):
-            key, result, events, dropped, profile = future.result()
-            collected[key] = (result, events, dropped, profile)
+    worker = functools.partial(
+        _pool_worker,
+        trace_capacity=trace_capacity if tracer.enabled else None,
+        profile=profiler.enabled)
     results: Dict[Tuple, object] = {}
-    for task in tasks:
-        result, events, dropped, profile = collected[task.key]
+    for task, (result, events, dropped, profile) in zip(
+            tasks, map_jobs(worker, tasks, workers)):
         results[task.key] = result
         if tracer.enabled:
             for event in events:

@@ -12,17 +12,18 @@ Layers (see ``docs/FLEET.md``):
   (:class:`FleetSpec`) and the splitmix-derived per-device parameters;
 * :mod:`repro.fleet.device` — one device's ENT episode (the same code
   runs under both execution engines);
-* :mod:`repro.fleet.shard` — the per-process worker: builds the
-  shared immutable config once, then streams devices through it in
-  batches;
-* :mod:`repro.fleet.service` — the asyncio orchestrator: partitions
-  the population, fans shards out over a process pool, and folds the
-  keyed aggregates back in arrival order (order-independence is
-  guaranteed by construction — every aggregate is integer-exact).
+* :mod:`repro.fleet.shard` — the per-process worker: builds one
+  platform per system letter and one runtime once, then re-seats them
+  for each device of its slice;
+* :mod:`repro.fleet.service` — the orchestrator: partitions the
+  population, runs one worker process per shard through
+  :func:`repro.core.jobs.map_jobs`, and folds the keyed aggregates
+  back in shard order (any order would do — every aggregate is
+  integer-exact).
 
 Everything is deterministic from ``FleetSpec.seed``: the aggregates of
 ``repro fleet run`` are bit-identical for any ``--shards`` value and
-any shard completion order.
+any shard fold order.
 """
 
 from repro.fleet.service import FleetReport, run_fleet

@@ -79,7 +79,7 @@ class DeviceOutcome:
     Everything a device feeds into the fleet aggregates is an integer
     (microjoules, microseconds, per-mille, counts), so folding
     outcomes is associative and commutative *exactly* — the shard
-    partition and arrival order cannot perturb the totals.
+    partition and fold order cannot perturb the totals.
     """
 
     steps: int

@@ -1,14 +1,15 @@
 """The fleet orchestrator: shard fan-out and order-independent fold.
 
 :func:`run_fleet` partitions the population into contiguous index
-ranges, fans the shards out over a process pool from an asyncio event
-loop, and folds each :class:`~repro.fleet.shard.ShardResult` into the
-fleet-wide :class:`~repro.obs.metrics.MetricsRegistry` and
-:class:`~repro.obs.prof.Profile` *as it arrives* — no sorting, no
-buffering.  Folding on arrival is safe because every aggregate the
-shards emit is integer-exact, so the merge is associative and
-commutative exactly; the unit suite asserts bit-identical aggregates
-across shard counts and deliberately shuffled completion orders.
+ranges, runs the shards through :func:`repro.core.jobs.map_jobs` (one
+worker process per shard), and folds each
+:class:`~repro.fleet.shard.ShardResult` into the fleet-wide
+:class:`~repro.obs.metrics.MetricsRegistry` and
+:class:`~repro.obs.prof.Profile` in shard order.  The fold would be
+exact in any order: every aggregate the shards emit is integer-exact,
+so the merge is associative and commutative exactly; the unit suite
+asserts bit-identical aggregates across shard counts and deliberately
+shuffled fold orders.
 
 ``shards <= 1`` (or a single-device population) runs in-process with
 no pool at all — the degenerate case costs nothing and is the
@@ -17,12 +18,11 @@ reference for the multiprocess paths.
 
 from __future__ import annotations
 
-import asyncio
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.jobs import map_jobs
 from repro.fleet.shard import (ENGINES, ShardResult, ShardTask,
                                run_shard)
 from repro.fleet.spec import FleetSpec
@@ -59,7 +59,7 @@ class FleetReport:
     shards: int
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     profile: Profile = field(default_factory=lambda: Profile("fleet"))
-    #: ``(shard_index, devices, seconds)`` per shard, arrival order.
+    #: ``(shard_index, devices, seconds)`` per shard, shard order.
     shard_timings: List[Tuple[int, int, float]] = field(
         default_factory=list)
     elapsed_s: float = 0.0
@@ -74,7 +74,7 @@ class FleetReport:
 
     def aggregate_digest(self) -> Dict[str, object]:
         """The deterministic slice of the report: everything that must
-        be bit-identical across shard counts and completion orders.
+        be bit-identical across shard counts and fold orders.
 
         Wall-clock fields (timings, throughput) are excluded; the
         rest — every counter, every histogram bucket, the profile's
@@ -150,28 +150,15 @@ def _fold(report: FleetReport, result: ShardResult) -> None:
         (result.shard_index, result.devices, result.seconds))
 
 
-async def _run_sharded(tasks: List[ShardTask], report: FleetReport,
-                       progress: Optional[Callable[[ShardResult], None]]
-                       ) -> None:
-    loop = asyncio.get_running_loop()
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        pending = [loop.run_in_executor(pool, run_shard, task)
-                   for task in tasks]
-        for future in asyncio.as_completed(pending):
-            result = await future
-            _fold(report, result)
-            if progress is not None:
-                progress(result)
-
-
 def run_fleet(spec: FleetSpec, shards: int = 1, engine: str = "batched",
               progress: Optional[Callable[[ShardResult], None]] = None
               ) -> FleetReport:
     """Simulate the population described by ``spec``.
 
     ``shards`` worker processes each run one contiguous slice;
-    ``shards <= 1`` runs in-process.  The report's aggregates are a
-    pure function of ``(spec, engine)`` — see
+    ``shards <= 1`` runs in-process.  ``progress`` sees each shard's
+    result in shard order.  The report's aggregates are a pure
+    function of ``(spec, engine)`` — see
     :meth:`FleetReport.aggregate_digest`.
     """
     if engine not in ENGINES:
@@ -185,15 +172,9 @@ def run_fleet(spec: FleetSpec, shards: int = 1, engine: str = "batched",
     report = FleetReport(spec=spec, engine=engine,
                          shards=max(1, len(tasks)))
     started = time.perf_counter()
-    if not tasks:
-        report.elapsed_s = time.perf_counter() - started
-        return report
-    if len(tasks) == 1:
-        result = run_shard(tasks[0])
+    for result in map_jobs(run_shard, tasks, len(tasks)):
         _fold(report, result)
         if progress is not None:
             progress(result)
-    else:
-        asyncio.run(_run_sharded(tasks, report, progress))
     report.elapsed_s = time.perf_counter() - started
     return report

@@ -23,86 +23,18 @@ deviation bands (A and B within 2-3%, C visibly higher).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.obs.events import PlatformReadEvent
 from repro.obs.tracer import NULL_TRACER
 from repro.platform.battery import Battery
 from repro.platform.clock import SimClock
-from repro.platform.cpu import (INTEL_I5, PI2_BCM2836, SNAPDRAGON_808, Cpu,
-                                CpuSpec)
+from repro.platform.cpu import INTEL_I5, PI2_BCM2836, SNAPDRAGON_808, Cpu
 from repro.platform.meter import (BatteryManagerMeter, EnergyLedger, Meter,
                                   RaplMeter, WattsUpMeter)
 from repro.platform.thermal import ThermalModel
 
-__all__ = ["Platform", "PlatformConfig", "PlatformState", "SystemA",
-           "SystemB", "SystemC", "make_platform", "platform_from_config"]
-
-#: Meter classes by the symbolic name :class:`PlatformConfig` carries
-#: (the config stays a pure-data struct; classes are looked up here).
-_METERS = {
-    "rapl": RaplMeter,
-    "wattsup": WattsUpMeter,
-    "battery_manager": BatteryManagerMeter,
-}
-_METER_NAMES = {cls: name for name, cls in _METERS.items()}
-
-
-@dataclass(frozen=True)
-class PlatformConfig:
-    """The immutable half of a platform: hardware constants only.
-
-    Everything here is shared by *all* simulated devices of one system
-    — the fleet layer builds one config per system letter and reuses
-    it across millions of devices, while the mutable half travels as a
-    :class:`PlatformState`.  The struct is hashable (usable as a cache
-    key) and picklable (plain floats, strings, and a frozen
-    :class:`~repro.platform.cpu.CpuSpec`).
-    """
-
-    name: str
-    cpu: CpuSpec
-    governor: str
-    meter: str
-    peripheral_w: float
-    display_w: float
-    io_bytes_per_s: float
-    io_active_w: float
-    net_bytes_per_s: float
-    net_active_w: float
-    battery_capacity_j: float
-    run_jitter_rel: float
-    ambient_c: float
-    r_th_c_per_w: float
-    tau_s: float
-
-
-@dataclass
-class PlatformState:
-    """The mutable half of a platform: one device's simulation state.
-
-    Small, picklable, and complete: restoring a state into a platform
-    built from the same :class:`PlatformConfig` reproduces the exact
-    float-for-float stepping of the platform the state was captured
-    from (the property suite proves it).  The temperature trace and
-    tracer binding are observation, not simulation, and are not part
-    of the state — restore resets the trace at the restored instant.
-    """
-
-    now_s: float
-    battery_capacity_j: float
-    battery_charge_j: float
-    temp_c: float
-    governor_util: float
-    cpu_level: int
-    total_work_units: float
-    speed_factor: float
-    sleep_total_s: float
-    #: Component joules in :data:`EnergyLedger.COMPONENTS` order.
-    ledger: Tuple[float, ...]
-    #: ``random.Random.getstate()`` of the platform RNG.
-    rng_state: object
+__all__ = ["Platform", "SystemA", "SystemB", "SystemC", "make_platform"]
 
 
 class Platform:
@@ -110,6 +42,7 @@ class Platform:
 
     name = "generic"
     meter_class = RaplMeter
+    cpu_spec = INTEL_I5
 
     #: Constant board power besides the CPU (peripherals), watts.
     peripheral_w = 0.0
@@ -125,16 +58,43 @@ class Platform:
     battery_capacity_j = 1.8e5
     #: Per-run relative speed jitter (1 sigma).
     run_jitter_rel = 0.01
+    #: Lumped-RC thermal constants (see :class:`ThermalModel`).
+    ambient_c = 35.0
+    r_th_c_per_w = 1.2
+    tau_s = 25.0
 
-    def __init__(self, cpu_spec: Optional[CpuSpec] = None,
-                 governor: str = "ondemand", seed: int = 0,
+    def __init__(self, seed: int = 0, governor: str = "ondemand",
                  battery_fraction: float = 1.0) -> None:
         self.governor_name = governor
-        self.rng = random.Random(seed)
+        self.rng = random.Random()
+        #: Observability hook; see :meth:`set_tracer`.
+        self.tracer = NULL_TRACER
+        self._seat(seed, battery_fraction, 1.0)
+
+    def reset(self, seed: int = 0, battery_fraction: float = 1.0,
+              capacity_scale: float = 1.0) -> None:
+        """Re-seat this platform as a brand-new device.
+
+        Equivalent to constructing a fresh platform of the same system
+        and governor with ``seed``/``battery_fraction`` (bit-for-bit:
+        both seat through :meth:`_seat`), keeping the tracer binding —
+        the fleet's batched engine reuses one platform per shard this
+        way.  ``capacity_scale`` shrinks the battery relative to the
+        class capacity (drain profiles use it so a discharge fits in an
+        episode).
+        """
+        self._seat(seed, battery_fraction, capacity_scale)
+
+    def _seat(self, seed: int, battery_fraction: float,
+              capacity_scale: float) -> None:
+        """Build every piece of per-device simulation state."""
+        self.rng.seed(seed)
         self.clock = SimClock()
-        self.cpu = Cpu(cpu_spec or INTEL_I5, governor=governor)
-        self.thermal = ThermalModel()
-        self.battery = Battery(self.battery_capacity_j,
+        self.cpu = Cpu(self.cpu_spec, governor=self.governor_name)
+        self.thermal = ThermalModel(ambient_c=self.ambient_c,
+                                    r_th_c_per_w=self.r_th_c_per_w,
+                                    tau_s=self.tau_s)
+        self.battery = Battery(self.battery_capacity_j * capacity_scale,
                                fraction=battery_fraction)
         self.ledger = EnergyLedger()
         # One multiplicative speed factor per run: models JIT state,
@@ -145,8 +105,6 @@ class Platform:
         #: Temperature trace: (time, celsius) samples appended on
         #: every activity, consumed by the E3 harness.
         self.temperature_trace = [(0.0, self.thermal.temperature_c)]
-        #: Observability hook; see :meth:`set_tracer`.
-        self.tracer = NULL_TRACER
 
     def set_tracer(self, tracer) -> None:
         """Attach a tracer: signal reads and meter windows are recorded,
@@ -242,94 +200,6 @@ class Platform:
     def energy_total_j(self) -> float:
         return self.ledger.total_j
 
-    # ------------------------------------------------------------------
-    # Config/state split (fleet-scale device simulation)
-
-    def config(self) -> PlatformConfig:
-        """This platform's immutable hardware constants."""
-        return PlatformConfig(
-            name=self.name, cpu=self.cpu.spec,
-            governor=self.governor_name,
-            meter=_METER_NAMES[self.meter_class],
-            peripheral_w=self.peripheral_w, display_w=self.display_w,
-            io_bytes_per_s=self.io_bytes_per_s,
-            io_active_w=self.io_active_w,
-            net_bytes_per_s=self.net_bytes_per_s,
-            net_active_w=self.net_active_w,
-            battery_capacity_j=self.battery_capacity_j,
-            run_jitter_rel=self.run_jitter_rel,
-            ambient_c=self.thermal.ambient_c,
-            r_th_c_per_w=self.thermal.r_th,
-            tau_s=self.thermal.tau)
-
-    def reset(self, seed: int = 0, battery_fraction: float = 1.0,
-              capacity_scale: float = 1.0) -> None:
-        """Re-seat this platform as a brand-new device.
-
-        Equivalent to constructing a fresh platform of the same
-        configuration with ``seed``/``battery_fraction`` (bit-for-bit:
-        the RNG is reseeded and the speed-jitter draw repeated), but
-        without rebuilding the component objects — the fleet's batched
-        engine reuses one platform per shard this way.
-        ``capacity_scale`` shrinks the battery relative to the
-        configured capacity (drain profiles use it so a discharge
-        fits in an episode).
-        """
-        self.rng.seed(seed)
-        self.clock = SimClock()
-        self.cpu = Cpu(self.cpu.spec, governor=self.governor_name)
-        self.thermal = ThermalModel(ambient_c=self.thermal.ambient_c,
-                                    r_th_c_per_w=self.thermal.r_th,
-                                    tau_s=self.thermal.tau)
-        self.battery = Battery(self.battery_capacity_j * capacity_scale,
-                               fraction=battery_fraction)
-        self.ledger = EnergyLedger()
-        self._speed_factor = max(
-            0.5, 1.0 + self.rng.gauss(0.0, self.run_jitter_rel))
-        self.sleep_total_s = 0.0
-        self.temperature_trace = [(0.0, self.thermal.temperature_c)]
-
-    def capture_state(self) -> PlatformState:
-        """The picklable mutable half of this platform (one device)."""
-        governor = self.cpu.governor
-        ledger = self.ledger
-        return PlatformState(
-            now_s=self.clock.now,
-            battery_capacity_j=self.battery.capacity_joules,
-            battery_charge_j=self.battery.charge_joules,
-            temp_c=self.thermal.temperature_c,
-            governor_util=governor.utilization,
-            cpu_level=self.cpu.current_level,
-            total_work_units=self.cpu.total_work_units,
-            speed_factor=self._speed_factor,
-            sleep_total_s=self.sleep_total_s,
-            ledger=tuple(getattr(ledger, component)
-                         for component in EnergyLedger.COMPONENTS),
-            rng_state=self.rng.getstate())
-
-    def restore_state(self, state: PlatformState) -> None:
-        """Seat a captured device state into this platform.
-
-        The platform must have been built from the same
-        :class:`PlatformConfig`; subsequent stepping is then identical
-        to the platform the state came from.  Scripted battery levels
-        are simulation inputs, not state, and are cleared.
-        """
-        self.clock = SimClock(start=state.now_s)
-        self.battery = Battery(state.battery_capacity_j, fraction=1.0)
-        self.battery._charge = state.battery_charge_j
-        self.thermal.set_temperature(state.temp_c)
-        governor = self.cpu.governor
-        if hasattr(governor, "_util"):
-            governor._util = state.governor_util
-        self.cpu.current_level = state.cpu_level
-        self.cpu.total_work_units = state.total_work_units
-        self._speed_factor = state.speed_factor
-        self.sleep_total_s = state.sleep_total_s
-        self.ledger = EnergyLedger(*state.ledger)
-        self.rng.setstate(state.rng_state)
-        self.temperature_trace = [(state.now_s, state.temp_c)]
-
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} t={self.clock.now:.3f}s "
                 f"E={self.ledger.total_j:.2f}J "
@@ -342,6 +212,7 @@ class SystemA(Platform):
 
     name = "A"
     meter_class = RaplMeter
+    cpu_spec = INTEL_I5
     peripheral_w = 0.0       # RAPL sees only the package
     display_w = 0.0
     io_bytes_per_s = 4.0e8   # SATA SSD
@@ -350,11 +221,9 @@ class SystemA(Platform):
     net_active_w = 1.5
     battery_capacity_j = 1.8e5   # ~50 Wh
     run_jitter_rel = 0.008
-
-    def __init__(self, seed: int = 0, governor: str = "ondemand",
-                 battery_fraction: float = 1.0) -> None:
-        super().__init__(INTEL_I5, governor=governor, seed=seed,
-                         battery_fraction=battery_fraction)
+    ambient_c = 35.0
+    r_th_c_per_w = 1.2
+    tau_s = 25.0
 
 
 class SystemB(Platform):
@@ -367,6 +236,7 @@ class SystemB(Platform):
 
     name = "B"
     meter_class = WattsUpMeter
+    cpu_spec = PI2_BCM2836
     peripheral_w = 1.6
     display_w = 0.0
     io_bytes_per_s = 1.8e7   # SD card
@@ -375,14 +245,10 @@ class SystemB(Platform):
     net_active_w = 0.4
     battery_capacity_j = 3.6e4   # a simulated 10 Wh pack
     run_jitter_rel = 0.006
-
-    def __init__(self, seed: int = 0, governor: str = "ondemand",
-                 battery_fraction: float = 1.0) -> None:
-        super().__init__(PI2_BCM2836, governor=governor, seed=seed,
-                         battery_fraction=battery_fraction)
-        # Passively cooled small board: higher thermal resistance.
-        self.thermal = ThermalModel(ambient_c=35.0, r_th_c_per_w=7.0,
-                                    tau_s=40.0)
+    # Passively cooled small board: higher thermal resistance.
+    ambient_c = 35.0
+    r_th_c_per_w = 7.0
+    tau_s = 40.0
 
 
 class SystemC(Platform):
@@ -396,6 +262,7 @@ class SystemC(Platform):
 
     name = "C"
     meter_class = BatteryManagerMeter
+    cpu_spec = SNAPDRAGON_808
     peripheral_w = 0.15
     display_w = 1.1
     io_bytes_per_s = 1.2e8   # eMMC flash
@@ -404,13 +271,9 @@ class SystemC(Platform):
     net_active_w = 0.85
     battery_capacity_j = 3.7e4   # 2700 mAh at 3.8 V
     run_jitter_rel = 0.028
-
-    def __init__(self, seed: int = 0, governor: str = "ondemand",
-                 battery_fraction: float = 1.0) -> None:
-        super().__init__(SNAPDRAGON_808, governor=governor, seed=seed,
-                         battery_fraction=battery_fraction)
-        self.thermal = ThermalModel(ambient_c=33.0, r_th_c_per_w=6.0,
-                                    tau_s=55.0)
+    ambient_c = 33.0
+    r_th_c_per_w = 6.0
+    tau_s = 55.0
 
 
 _SYSTEMS = {"A": SystemA, "B": SystemB, "C": SystemC}
@@ -428,42 +291,3 @@ def make_platform(system: str, seed: int = 0,
     return cls(seed=seed, battery_fraction=battery_fraction,
                governor=governor)
 
-
-def system_config(system: str, governor: str = "ondemand"
-                  ) -> PlatformConfig:
-    """The :class:`PlatformConfig` of one of the paper's systems.
-
-    Configs are pure data: building one does not construct a platform
-    (the throwaway instance below is only a reader of class
-    constants), so shards can exchange them cheaply.
-    """
-    return make_platform(system, governor=governor).config()
-
-
-def platform_from_config(config: PlatformConfig, seed: int = 0,
-                         battery_fraction: float = 1.0) -> Platform:
-    """Instantiate a platform from its immutable config.
-
-    The result steps bit-identically to the system subclass the
-    config came from: all per-class constants become instance
-    attributes, and the RNG/jitter initialization path is the shared
-    :class:`Platform` one.
-    """
-    platform = Platform.__new__(Platform)
-    platform.name = config.name
-    platform.meter_class = _METERS[config.meter]
-    platform.peripheral_w = config.peripheral_w
-    platform.display_w = config.display_w
-    platform.io_bytes_per_s = config.io_bytes_per_s
-    platform.io_active_w = config.io_active_w
-    platform.net_bytes_per_s = config.net_bytes_per_s
-    platform.net_active_w = config.net_active_w
-    platform.battery_capacity_j = config.battery_capacity_j
-    platform.run_jitter_rel = config.run_jitter_rel
-    Platform.__init__(platform, config.cpu, governor=config.governor,
-                      seed=seed, battery_fraction=battery_fraction)
-    platform.thermal = ThermalModel(ambient_c=config.ambient_c,
-                                    r_th_c_per_w=config.r_th_c_per_w,
-                                    tau_s=config.tau_s)
-    platform.temperature_trace = [(0.0, platform.thermal.temperature_c)]
-    return platform

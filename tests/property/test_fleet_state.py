@@ -1,17 +1,14 @@
-"""Property tests for the fleet's config/state split and seeding.
+"""Property tests for fleet device seating and seeding.
 
-The fleet service rests on three refactors, each with a crisp
-invariant this module exercises across seeds and systems:
+The fleet service rests on two invariants this module exercises
+across seeds and systems:
 
-* **Platform config/state split** — a :class:`PlatformState` survives
-  ``pickle`` and, restored into any platform built from the same
-  :class:`PlatformConfig`, steps float-for-float identically to the
-  platform it was captured from; ``Platform.reset`` is bit-equal to
-  fresh construction.
-* **Embedded-runtime device split** — an :class:`EmbeddedDeviceState`
-  pickles and restores onto a *shared* runtime (one lattice, one dfall
-  memo, one set of instrumented classes) with identical subsequent
-  semantics and stats.
+* **One seating path** — a shard re-seats one platform per system
+  letter with ``Platform.reset`` and one runtime with
+  ``EntRuntime.reset_device``; a dirtied-then-reset platform is
+  bit-equal to fresh construction and steps identically afterwards,
+  and a reset runtime is back at its boot state while its instrumented
+  classes and mode-case tables stay shared.
 * **SplitMix seeding** — per-device parameter derivation is a pure
   function of ``(seed, index)``; streams pickle; no step of an episode
   ever constructs a fresh ``random.Random``.
@@ -23,9 +20,8 @@ import random
 from repro.core.rng import SplitMix64, derive_seed, splitmix64
 from repro.fleet import FleetSpec, device_params
 from repro.fleet.device import DeviceApp, run_device
-from repro.platform.systems import (PlatformState, make_platform,
-                                    platform_from_config, system_config)
-from repro.runtime.embedded import EmbeddedDeviceState, EntRuntime
+from repro.platform.systems import make_platform
+from repro.runtime.embedded import EntRuntime
 
 SYSTEMS = ("A", "B", "C")
 SEEDS = (0, 7, 991)
@@ -47,71 +43,33 @@ def _exercise(platform, rng):
             platform.battery.drain(0.5)
 
 
-class TestPlatformStatePickle:
-    def test_state_survives_pickle_with_identical_stepping(self):
-        for system in SYSTEMS:
-            for seed in SEEDS:
-                config = system_config(system)
-                original = platform_from_config(config, seed=seed,
-                                                battery_fraction=0.9)
-                _exercise(original, SplitMix64(seed))
-                state = original.capture_state()
-                clone_state = pickle.loads(pickle.dumps(state))
-                assert clone_state == state
-                restored = platform_from_config(config)
-                restored.restore_state(clone_state)
-                # Identical subsequent stepping, float for float.
-                _exercise(original, SplitMix64(seed + 1))
-                _exercise(restored, SplitMix64(seed + 1))
-                assert restored.capture_state() == \
-                    original.capture_state()
+def _state(platform):
+    """Everything stepping depends on, as one comparable tuple."""
+    ledger = platform.ledger
+    return (platform.clock.now, platform.battery.charge_joules,
+            platform.thermal.temperature_c,
+            tuple(getattr(ledger, component)
+                  for component in ledger.COMPONENTS),
+            platform.cpu.current_level, platform.rng.getstate())
 
+
+class TestPlatformSeating:
     def test_reset_is_bit_equal_to_fresh_construction(self):
         for system in SYSTEMS:
             for seed in SEEDS:
-                config = system_config(system)
-                fresh = platform_from_config(config, seed=seed,
-                                             battery_fraction=0.7)
-                reused = platform_from_config(config, seed=seed + 999,
-                                              battery_fraction=0.1)
+                fresh = make_platform(system, seed=seed,
+                                      battery_fraction=0.7)
+                reused = make_platform(system, seed=seed + 999,
+                                       battery_fraction=0.1)
                 _exercise(reused, SplitMix64(3))  # dirty it thoroughly
                 reused.reset(seed, battery_fraction=0.7)
-                assert reused.capture_state() == fresh.capture_state()
+                assert _state(reused) == _state(fresh)
                 _exercise(fresh, SplitMix64(5))
                 _exercise(reused, SplitMix64(5))
-                assert reused.capture_state() == fresh.capture_state()
-
-    def test_platform_from_config_matches_system_class(self):
-        for system in SYSTEMS:
-            direct = make_platform(system, seed=4, battery_fraction=0.8)
-            from_config = platform_from_config(system_config(system),
-                                               seed=4,
-                                               battery_fraction=0.8)
-            _exercise(direct, SplitMix64(9))
-            _exercise(from_config, SplitMix64(9))
-            assert from_config.capture_state() == direct.capture_state()
-
-    def test_shared_config_not_duplicated(self):
-        # The immutable half really is shared: platforms built from one
-        # config alias its CpuSpec (and the config is hashable, so the
-        # fleet can key caches on it).
-        config = system_config("B")
-        p1 = platform_from_config(config)
-        p2 = platform_from_config(config)
-        assert p1.cpu.spec is config.cpu
-        assert p2.cpu.spec is config.cpu
-        assert hash(config) == hash(system_config("B"))
-
-    def test_state_is_small_and_flat(self):
-        # The per-device struct must stay cheap to ship between
-        # processes — a few hundred bytes beyond the ~4 KB Mersenne
-        # state, never a platform object graph.
-        state = make_platform("A").capture_state()
-        assert isinstance(state, PlatformState)
-        assert len(pickle.dumps(state)) < 6000
+                assert _state(reused) == _state(fresh)
 
 
-class TestEmbeddedDeviceStatePickle:
+class TestRuntimeSeating:
     def _runtime_with_agent(self, seed):
         platform = make_platform("A", seed=seed, battery_fraction=0.6)
         rt = EntRuntime.standard(platform)
@@ -126,31 +84,6 @@ class TestEmbeddedDeviceStatePickle:
                 return rt.ext.battery()
 
         return platform, rt, Agent
-
-    def test_state_survives_pickle_onto_shared_runtime(self):
-        for seed in SEEDS:
-            platform, rt, agent_cls = self._runtime_with_agent(seed)
-            agent = rt.snapshot(agent_cls())
-            with rt.booted(agent):
-                agent.work()
-            state = rt.capture_device_state(agent=agent)
-            clone = pickle.loads(pickle.dumps(state))
-            assert clone == state
-
-            # A different runtime sharing only immutable config.
-            platform2, rt2, agent_cls2 = self._runtime_with_agent(seed)
-            agent2 = agent_cls2()
-            rt2.restore_device_state(clone, agent=agent2)
-            assert rt2.stats.as_dict() == rt.stats.as_dict()
-            assert rt2.current_mode is rt.current_mode
-            # Identical subsequent semantics: same mode decisions,
-            # same counter movement.
-            for r, a in ((rt, agent), (rt2, agent2)):
-                snap = r.snapshot(a)
-                with r.booted(snap):
-                    snap.work()
-
-            assert rt2.stats.as_dict() == rt.stats.as_dict()
 
     def test_reset_device_restores_boot_state(self):
         platform, rt, agent_cls = self._runtime_with_agent(0)
@@ -170,8 +103,7 @@ class TestEmbeddedDeviceStatePickle:
         rt = EntRuntime.standard()
         app = DeviceApp(rt, spec)
         plans_before = {name: case for name, case in app.plans.items()}
-        config = system_config("A")
-        platform = platform_from_config(config)
+        platform = make_platform("A")
         for index in range(spec.devices):
             params = device_params(spec, index)
             platform.reset(params.platform_seed, params.start_fraction,
@@ -223,7 +155,7 @@ class TestSplitMixSeeding:
         # instantiate random.Random anywhere on the hot path.
         spec = FleetSpec(devices=1, seed=6)
         params = device_params(spec, 0)
-        platform = platform_from_config(system_config(params.system))
+        platform = make_platform(params.system)
         platform.reset(params.platform_seed, params.start_fraction,
                        spec.battery_scale)
         rt = EntRuntime.standard()
@@ -253,8 +185,7 @@ class TestSplitMixSeeding:
             run = []
             for index in range(spec.devices):
                 params = device_params(spec, index)
-                platform = platform_from_config(
-                    system_config(params.system))
+                platform = make_platform(params.system)
                 platform.reset(params.platform_seed,
                                params.start_fraction, spec.battery_scale)
                 rt = EntRuntime.standard()

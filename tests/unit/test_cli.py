@@ -322,3 +322,23 @@ class TestJobs:
             main(argv + ["--jobs", "-3"])
         assert exc.value.code == 2
         assert "--jobs: must be >= 0, got -3" in capsys.readouterr().err
+
+
+class TestFleetArgs:
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--devices", "-5", "must be >= 0, got -5"),
+        ("--shards", "-2", "must be >= 0, got -2"),
+        ("--steps", "0", "must be >= 1, got 0"),
+    ], ids=["devices", "shards", "steps"])
+    def test_bad_count_is_usage_error(self, flag, value, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "run", "--devices", "3", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: {message}" in err
+        assert "Traceback" not in err
+
+    def test_zero_devices_and_shards_still_run(self, capsys):
+        assert main(["fleet", "run", "--devices", "0", "--shards", "0",
+                     "--digest"]) == 0
+        assert '"counters": {}' in capsys.readouterr().out

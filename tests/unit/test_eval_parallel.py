@@ -50,9 +50,8 @@ class TestResolveJobs:
 
 class TestRunEpisodes:
     def test_empty_task_list_returns_empty_aggregate(self):
-        # Regression: an empty batch must short-circuit before the
-        # pool path, which would compute min(workers, 0) and ask
-        # ProcessPoolExecutor for max_workers=0 (a ValueError).
+        # Regression: an empty batch must never reach a process pool,
+        # which rejects max_workers=0 with a ValueError.
         assert run_episodes([]) == {}
         assert run_episodes([], jobs=8) == {}
         assert run_episodes(iter([]), jobs=0) == {}

@@ -262,6 +262,17 @@ class TestSystems:
         times = [t for t, _ in platform.temperature_trace]
         assert times == sorted(times)
 
+    @pytest.mark.parametrize("system", ["A", "B", "C"])
+    def test_temperature_trace_starts_at_die_temperature(self, system):
+        platform = make_platform(system, seed=2)
+        assert platform.temperature_trace[0] == \
+            (0.0, platform.thermal.temperature_c)
+        platform.cpu_work(500.0)
+        platform.reset(seed=3, battery_fraction=0.5)
+        assert platform.temperature_trace == \
+            [(0.0, platform.thermal.temperature_c)]
+        assert platform.thermal.temperature_c == platform.thermal.ambient_c
+
 
 class TestReran:
     def test_recording_script(self):
