@@ -17,6 +17,9 @@ to serial — see :mod:`repro.eval.parallel`).  ``episode`` runs one
 E1/E2/E3 episode with a tracer attached and writes the event trace
 (analyse it with ``python -m repro obs report``); the figure commands
 accept ``--trace`` too, with per-worker rings merged into one stream.
+Episodes run through the embedded API, so no command takes an engine.
+The mode advisor has its own front-end: ``python -m repro advise``
+(``docs/ADVISE.md``).
 """
 
 from __future__ import annotations
@@ -25,7 +28,11 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.jobs import non_negative_int
+from repro.core.jobs import non_negative_int, positive_int
+from repro.eval.export import FIGURES
+from repro.workloads import ALL_WORKLOADS, BATTERY_MODES, E3_BENCHMARKS
+
+BENCHMARKS = [w.name for w in ALL_WORKLOADS]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,8 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "(Figures 6-11)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("figure6", "figure7", "figure8", "figure9", "figure10",
-                 "figure11", "all"):
+    for name in FIGURES + ("all",):
         cmd = sub.add_parser(name, help=f"regenerate {name}")
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--jobs", type=non_negative_int, default=None,
@@ -46,15 +52,19 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="record the (merged) episode trace")
         cmd.add_argument("--trace-format", choices=["jsonl", "chrome"],
                          default="jsonl")
-        cmd.add_argument("--trace-capacity", type=int, default=262144)
+        cmd.add_argument("--trace-capacity", type=positive_int,
+                         default=262144)
         if name in ("figure8", "figure11"):
             cmd.add_argument("--benchmarks", nargs="*", default=None,
+                             choices=(BENCHMARKS if name == "figure8"
+                                      else E3_BENCHMARKS),
                              help="restrict to these benchmarks")
 
     export = sub.add_parser("export", help="write figure data as JSON")
     export.add_argument("--dir", default="results")
     export.add_argument("--seed", type=int, default=0)
-    export.add_argument("--figures", nargs="*", default=None)
+    export.add_argument("--figures", nargs="*", default=None,
+                        choices=FIGURES)
     export.add_argument("--jobs", type=non_negative_int, default=None,
                         help="parallel episode workers (default: "
                              "serial, 0 = all cores)")
@@ -62,115 +72,48 @@ def _build_parser() -> argparse.ArgumentParser:
     drain = sub.add_parser(
         "drain", help="adaptive run across a battery discharge")
     drain.add_argument("--benchmark", nargs="+", default=["jspider"],
+                       choices=BENCHMARKS,
                        help="benchmark(s); several run as a sweep")
-    drain.add_argument("--system", default="A")
-    drain.add_argument("--iterations", type=int, default=40)
+    drain.add_argument("--system", choices=["A", "B", "C"], default="A")
+    drain.add_argument("--iterations", type=positive_int, default=40)
     drain.add_argument("--battery-scale", type=float, default=0.003)
     drain.add_argument("--seed", type=int, default=0)
     drain.add_argument("--jobs", type=non_negative_int, default=None,
                        help="parallel sweep workers (default: serial, "
                             "0 = all cores)")
 
-    from repro.lang.engines import ENGINES
-
-    advise = sub.add_parser(
-        "advise",
-        help="Pareto mode advisor over a battery episode grid "
-             "(repro.advise; docs/ADVISE.md)")
-    advise.add_argument("--file", default="examples/ent/crawler.ent",
-                        help="ENT program to advise "
-                             "(default examples/ent/crawler.ent)")
-    advise.add_argument("--system", choices=["A", "B", "C"],
-                        default="A")
-    advise.add_argument("--batteries", type=float, nargs="+",
-                        default=[1.0, 0.6, 0.3],
-                        help="battery levels forming the episode "
-                             "grid (default 1.0 0.6 0.3)")
-    advise.add_argument("--arch",
-                        choices=["sim45nm", "skylake", "cortex-a53"],
-                        default="sim45nm")
-    advise.add_argument("--engine", default=None,
-                        choices=list(ENGINES))
-    advise.add_argument("--runs", type=int, default=2,
-                        help="calibration runs per battery level")
-    advise.add_argument("--samples", type=int, default=128,
-                        help="Monte-Carlo draws per pinned class")
-    advise.add_argument("--seed", type=int, default=0)
-    advise.add_argument("--jobs", type=non_negative_int, default=None,
-                        help="parallel calibration workers (default: "
-                             "serial, 0 = all cores; results are "
-                             "bit-identical for any value)")
-    advise.add_argument("--json", action="store_true",
-                        help="emit the full result as one JSON object")
-
     episode = sub.add_parser(
         "episode", help="run one traced E1/E2/E3 episode")
     episode.add_argument("--experiment", choices=["e1", "e2", "e3"],
                          required=True)
-    episode.add_argument("--benchmark", default=None,
+    episode.add_argument("--benchmark", default=None, choices=BENCHMARKS,
                          help="workload name (default: jspider for "
                               "e1/e2, sunflow for e3)")
     episode.add_argument("--system", choices=["A", "B", "C"], default="A",
                          help="platform (e1/e2; e3 always runs on A)")
     episode.add_argument("--boot", default="full_throttle",
-                         help="boot mode (e1/e2)")
+                         choices=BATTERY_MODES, help="boot mode (e1/e2)")
     episode.add_argument("--workload-mode", default="full_throttle",
+                         choices=BATTERY_MODES,
                          help="workload attribution mode (e1/e2)")
     episode.add_argument("--variant", choices=["ent", "java"],
                          default="ent", help="e3 variant")
-    episode.add_argument("--units", type=int, default=None,
+    episode.add_argument("--units", type=positive_int, default=None,
                          help="e3 work units (default: benchmark's)")
     episode.add_argument("--silent", action="store_true",
                          help="e1 silent build")
-    from repro.lang.engines import ENGINES
-    episode.add_argument("--engine", default=None,
-                         choices=list(ENGINES),
-                         help="repro.lang engine to record for the "
-                              "episode (the engine registry: walk, "
-                              "vm or jit); episodes run "
-                              "through the embedded API, so this is "
-                              "validated provenance")
     episode.add_argument("--seed", type=int, default=0)
     episode.add_argument("--trace", metavar="PATH", required=True,
                          help="write the episode trace to PATH")
     episode.add_argument("--trace-format", choices=["jsonl", "chrome"],
                          default="jsonl")
-    episode.add_argument("--trace-capacity", type=int, default=65536)
+    episode.add_argument("--trace-capacity", type=positive_int,
+                         default=65536)
 
     return parser
 
 
-def _run_advise(args) -> int:
-    """Advise over a battery episode grid (``repro.eval advise``).
-
-    The grid plays the role of the drain sweep's episodes: each
-    candidate assignment is calibrated at every battery level, so the
-    frontier reflects the program's behaviour across the discharge,
-    not a single lucky episode.  Output is bit-identical for any
-    ``--jobs`` value.
-    """
-    from repro.advise import AdviseConfig, advise_file, builtin_model
-    from repro.lang.engines import resolve_engine
-
-    config = AdviseConfig(
-        arch=args.arch,
-        engine=resolve_engine(args.engine),
-        system=args.system,
-        seed=args.seed,
-        runs=args.runs,
-        samples=args.samples,
-        batteries=tuple(args.batteries),
-        jobs=args.jobs if args.jobs is not None else 1)
-    result = advise_file(args.file, config=config,
-                         model=builtin_model(args.arch))
-    if args.json:
-        print(result.to_json())
-    else:
-        print(result.render())
-    return 0
-
-
-def _run_episode(args) -> int:
+def _run_episode(parser: argparse.ArgumentParser, args) -> int:
     from repro.eval.runner import (run_e1_episode, run_e2_episode,
                                    run_e3_episode)
     from repro.obs.export import write_trace
@@ -178,13 +121,17 @@ def _run_episode(args) -> int:
     from repro.workloads import get_workload
 
     default_bench = "sunflow" if args.experiment == "e3" else "jspider"
-    workload = get_workload(args.benchmark or default_bench)
+    name = args.benchmark or default_bench
+    if args.experiment == "e3" and name not in E3_BENCHMARKS:
+        parser.error(f"--benchmark {name} has no unit-of-work "
+                     f"decomposition for e3 (choose from "
+                     f"{', '.join(E3_BENCHMARKS)})")
+    workload = get_workload(name)
     tracer = Tracer(capacity=args.trace_capacity)
     if args.experiment == "e1":
         result = run_e1_episode(workload, args.system, args.boot,
                                 args.workload_mode, silent=args.silent,
-                                seed=args.seed, tracer=tracer,
-                                engine=args.engine)
+                                seed=args.seed, tracer=tracer)
         summary = (f"e1 {result.benchmark} system={result.system} "
                    f"boot={result.boot_mode} "
                    f"workload={result.workload_mode} "
@@ -195,7 +142,7 @@ def _run_episode(args) -> int:
     elif args.experiment == "e2":
         result = run_e2_episode(workload, args.system, args.boot,
                                 args.workload_mode, seed=args.seed,
-                                tracer=tracer, engine=args.engine)
+                                tracer=tracer)
         summary = (f"e2 {result.benchmark} system={result.system} "
                    f"boot={result.boot_mode} qos={result.qos_mode} "
                    f"E={result.energy_j:.2f}J "
@@ -203,7 +150,7 @@ def _run_episode(args) -> int:
     else:
         result = run_e3_episode(workload, variant=args.variant,
                                 seed=args.seed, units=args.units,
-                                tracer=tracer, engine=args.engine)
+                                tracer=tracer)
         summary = (f"e3 {result.benchmark} variant={result.variant} "
                    f"sleeps={result.sleeps} "
                    f"E={result.energy_j:.2f}J "
@@ -262,7 +209,8 @@ def _write_figure_trace(args, tracer) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "all":
         tracer = _figure_tracer(args)
         for name in ("figure7", "figure6", "figure8", "figure9",
@@ -295,10 +243,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                       f"E={step.energy_j:.1f}J")
             print(f"monotone downward: {run.monotone_downward()}")
         return 0
-    if args.command == "advise":
-        return _run_advise(args)
     if args.command == "episode":
-        return _run_episode(args)
+        return _run_episode(parser, args)
     tracer = _figure_tracer(args)
     _print_figure(args.command, args.seed, jobs=args.jobs, tracer=tracer,
                   benchmarks=getattr(args, "benchmarks", None))

@@ -109,10 +109,7 @@ def battery_drain_run(benchmark: str = "jspider", system: str = "A",
                          "managed": "managed",
                          "full_throttle": "full_throttle"})
     run = DrainRun(benchmark=benchmark, system=system)
-    size = workload.task_size(workload_mode)
-    scale = getattr(workload, "system_scale", None)
-    if scale is not None:
-        size *= scale(system)
+    size = workload.size_for(workload_mode, system)
     with tracer.span(f"drain:{benchmark}", category="episode",
                      system=system, iterations=iterations):
         for index in range(iterations):

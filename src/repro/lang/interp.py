@@ -1216,9 +1216,6 @@ class Interpreter:
             return _NativeRef(name)
         raise StuckError(f"unknown variable {name!r}")
 
-    def _is_mode_name(self, name: str) -> bool:
-        return name in self._mode_by_name
-
     def _eval_field_access(self, expr: ast.FieldAccess,
                            frame: _Frame, want_mcase) -> object:
         obj = self._eval(expr.obj, frame)

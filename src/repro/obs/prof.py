@@ -51,11 +51,11 @@ See ``docs/PROFILING.md``.
 from __future__ import annotations
 
 import json
-import os
 from time import perf_counter
 from typing import Dict, IO, List, Optional, Tuple, Union
 
 from repro.obs.events import mode_name
+from repro.obs.export import _open_target
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["site_id", "ic_class", "Profile", "Profiler", "NullProfiler",
@@ -540,13 +540,6 @@ def render_profile(profile: Profile, top: Optional[int] = None,
             sections.append("Check totals:\n" + render_table(
                 ["kind", "executed", "elided"], rows))
     return "\n\n".join(sections)
-
-
-def _open_target(target: Union[str, "os.PathLike[str]", IO[str]],
-                 mode: str = "w"):
-    if isinstance(target, (str, os.PathLike)):
-        return open(target, mode, encoding="utf-8"), True
-    return target, False
 
 
 def write_profile(profile: Profile, target: Union[str, IO[str]],

@@ -9,6 +9,11 @@ kernel, parameterized exactly as Figure 7 parameterizes it:
 * a *QoS adjustment*: the quality-of-service knob selected per mode
   (columns 6-9).
 
+Both are data, not code: each subclass fills in the ``_SIZES``,
+``_QOS`` and ``_CUTS`` tables (plus ``_SYSTEM_SCALE`` where the paper
+shrinks an input on a slower system), and :class:`Workload` derives
+``task_size``, ``qos_value``, ``attribute`` and ``size_for`` from them.
+
 Kernels perform genuine computation on scaled-down inputs and charge
 the platform simulator ``work_scale`` abstract units per counted
 operation, so System-A energy magnitudes land in the paper's ranges
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.modes import Mode, ModeLattice
 
@@ -74,11 +79,11 @@ class TaskResult:
 class Workload(abc.ABC):
     """One benchmark application.
 
-    Subclasses define the Figure 6/7 metadata and the kernel.  The
-    ``workload_settings`` map gives each battery mode's input-size
-    parameter; ``attribute`` must recover the mode from such a
-    parameter (the task attributor's thresholds).  ``qos_settings``
-    maps each mode to its QoS knob value.
+    Subclasses define the Figure 6/7 metadata, the Figure 7 tables and
+    the kernel.  ``_SIZES`` gives each battery mode's input-size
+    parameter, ``_QOS`` each mode's QoS knob value, and ``_CUTS`` the
+    task attributor's two thresholds, which must recover the mode from
+    its size: ``attribute(task_size(m)) == m`` for every mode.
     """
 
     #: Benchmark name (Figure 6, column 1).
@@ -98,6 +103,17 @@ class Workload(abc.ABC):
     qos_kind: str = ""
     qos_labels: Dict[str, str] = {}
 
+    #: Figure 7 input size per workload mode.
+    _SIZES: Dict[str, float]
+    #: Figure 7 QoS knob value per QoS mode.
+    _QOS: Dict[str, float]
+    #: The task attributor's thresholds ``(mg_cut, ft_cut)``: a size
+    #: above ``ft_cut`` is full_throttle, above ``mg_cut`` managed,
+    #: anything else energy_saver.
+    _CUTS: Tuple[float, float]
+    #: Input-size factor per system; unlisted systems run full size.
+    _SYSTEM_SCALE: Dict[str, float] = {}
+
     #: Abstract work units charged per counted kernel operation.
     work_scale: float = 1.0
 
@@ -112,20 +128,27 @@ class Workload(abc.ABC):
 
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
     def task_size(self, workload_mode: str) -> float:
         """The Figure 7 input-size parameter for a workload mode."""
+        return self._SIZES[workload_mode]
 
-    @abc.abstractmethod
+    def size_for(self, workload_mode: str, system: str) -> float:
+        """The input size a ``workload_mode`` task runs at on ``system``."""
+        return (self.task_size(workload_mode)
+                * self._SYSTEM_SCALE.get(system, 1.0))
+
     def attribute(self, size: float) -> str:
-        """The task attributor: classify an input size into a mode.
+        """The task attributor: classify an input size into a mode."""
+        mg_cut, ft_cut = self._CUTS
+        if size > ft_cut:
+            return FT
+        if size > mg_cut:
+            return MG
+        return ES
 
-        Must satisfy ``attribute(task_size(m)) == m`` for every mode.
-        """
-
-    @abc.abstractmethod
     def qos_value(self, qos_mode: str) -> float:
         """The Figure 7 QoS knob value for a mode."""
+        return self._QOS[qos_mode]
 
     @abc.abstractmethod
     def execute(self, platform, size: float, qos: float,

@@ -78,23 +78,9 @@ class Sunflow(Workload):
     # Per-pixel sample budgets drawn from Fig 7's adaptive ranges
     # (1/4, 1/4-4, 1/4-16).
     _QOS = {ES: 0.9, MG: 2.2, FT: 4.5}
-
-    def task_size(self, workload_mode: str) -> float:
-        return self._SIZES[workload_mode]
-
-    def attribute(self, size: float) -> str:
-        if size > 6:
-            return FT
-        if size > 3:
-            return MG
-        return ES
-
-    def qos_value(self, qos_mode: str) -> float:
-        return self._QOS[qos_mode]
-
-    def system_scale(self, system: str) -> float:
-        # The paper shrinks Pi inputs to match the slower processor.
-        return 0.5 if system == "B" else 1.0
+    _CUTS = (3, 6)
+    # The paper shrinks Pi inputs to match the slower processor.
+    _SYSTEM_SCALE = {"B": 0.5}
 
     def execute(self, platform, size: float, qos: float,
                 seed: int = 0) -> TaskResult:

@@ -313,10 +313,8 @@ class TestLint:
 class TestJobs:
     @pytest.mark.parametrize("argv", [
         ["eval", "figure8"], ["eval", "export"], ["eval", "drain"],
-        ["eval", "advise"],
         ["advise", str(ROOT / "examples" / "ent" / "crawler.ent")],
-    ], ids=["eval-figure8", "eval-export", "eval-drain", "eval-advise",
-            "advise"])
+    ], ids=["eval-figure8", "eval-export", "eval-drain", "advise"])
     def test_negative_jobs_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--jobs", "-3"])

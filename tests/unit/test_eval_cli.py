@@ -38,6 +38,45 @@ class TestFigureCommands:
             main(["figure99"])
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["drain", "--system", "Z"],
+        ["drain", "--benchmark", "nosuch"],
+        ["drain", "--iterations", "-3"],
+        ["episode", "--experiment", "e1", "--benchmark", "nosuch",
+         "--trace", "t.jsonl"],
+        ["episode", "--experiment", "e1", "--boot", "bogus",
+         "--trace", "t.jsonl"],
+        ["episode", "--experiment", "e2", "--workload-mode", "bogus",
+         "--trace", "t.jsonl"],
+        ["episode", "--experiment", "e3", "--benchmark", "jspider",
+         "--trace", "t.jsonl"],
+        ["figure8", "--benchmarks", "nosuch"],
+        ["figure11", "--benchmarks", "jspider"],
+        ["figure7", "--trace-capacity", "0"],
+        ["export", "--figures", "nosuch"],
+        ["episode", "--experiment", "e3", "--units", "-3",
+         "--trace", "t.jsonl"],
+        ["episode", "--experiment", "e1", "--engine", "vm",
+         "--trace", "t.jsonl"],
+        ["advise"],
+    ], ids=["drain-system", "drain-benchmark", "drain-iterations",
+            "episode-benchmark", "episode-boot", "episode-workload-mode",
+            "episode-e3-benchmark", "figure8-benchmarks",
+            "figure11-benchmarks", "figure-trace-capacity",
+            "export-figures", "episode-units", "episode-engine",
+            "advise"])
+    def test_usage_error(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "t.jsonl").exists()
+
+
 class TestRunCliRemovedAlias:
     def test_compile_alias_is_usage_error(self, tmp_path, capsys):
         """``repro run --compile`` named an engine that no longer

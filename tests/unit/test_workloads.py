@@ -6,6 +6,8 @@ kernels are deterministic for a seed, energy grows with workload size,
 and the QoS knob orders energy es <= mg <= ft.
 """
 
+import math
+
 import pytest
 
 from repro.platform import make_platform
@@ -18,16 +20,10 @@ def _primary_system(workload):
     return workload.systems[0]
 
 
-def _scaled(workload, mode, system):
-    scale = getattr(workload, "system_scale", None)
-    factor = scale(system) if scale is not None else 1.0
-    return workload.task_size(mode) * factor
-
-
 def _energy(workload, size_mode, qos_mode, seed=1):
     system = _primary_system(workload)
     platform = make_platform(system, seed=seed)
-    workload.execute(platform, _scaled(workload, size_mode, system),
+    workload.execute(platform, workload.size_for(size_mode, system),
                      workload.qos_value(qos_mode), seed=seed)
     return platform.energy_total_j()
 
@@ -97,9 +93,54 @@ class TestWorkloadContract:
     def test_kernel_consumes_time(self, workload):
         system = _primary_system(workload)
         platform = make_platform(system, seed=1)
-        workload.execute(platform, _scaled(workload, ES, system),
+        workload.execute(platform, workload.size_for(ES, system),
                          workload.qos_value(ES), seed=1)
         assert platform.now() > 0
+
+    def test_only_pi_inputs_shrink(self, workload):
+        """crypto and sunflow run half-size inputs on System B."""
+        half = workload.name in ("crypto", "sunflow")
+        for mode in BATTERY_MODES:
+            full = workload.task_size(mode)
+            assert workload.size_for(mode, "A") == full
+            assert workload.size_for(mode, "B") == (full * 0.5 if half
+                                                    else full)
+            assert workload.size_for(mode, "C") == full
+
+
+#: Each attributor's (mg_cut, ft_cut), written out independently of the
+#: workloads' ``_CUTS`` tables: a size at a cut is the lower mode, the
+#: next float above it the upper mode.
+ATTRIBUTOR_CUTS = {
+    "batik": (100 << 10, 1 << 20),
+    "camera": (500_000, 1_500_000),
+    "crypto": ((1 << 20) * 1.5, 3 << 20),
+    "duckduckgo": (10, 20),
+    "findbugs": (10_000, 30_000),
+    "javaboy": (128 << 10, 700 << 10),
+    "jspider": (200, 1200),
+    "jython": (700, 1600),
+    "materiallife": (1_500, 3_000),
+    "newpipe": (200.0, 600.0),
+    "pagerank": (400_000, 1_000_000),
+    "soundrecorder": (210.0, 270.0),
+    "sunflow": (3, 6),
+    "video": (500_000, 1_500_000),
+    "xalan": (450, 1000),
+}
+
+
+class TestAttributorCuts:
+    def test_every_workload_is_pinned(self):
+        assert set(ATTRIBUTOR_CUTS) == {w.name for w in ALL_WORKLOADS}
+
+    @pytest.mark.parametrize("name", sorted(ATTRIBUTOR_CUTS))
+    def test_cut_points(self, name):
+        workload = get_workload(name)
+        mg_cut, ft_cut = ATTRIBUTOR_CUTS[name]
+        for cut, lower, upper in ((mg_cut, ES, MG), (ft_cut, MG, FT)):
+            assert workload.attribute(cut) == lower
+            assert workload.attribute(math.nextafter(cut, math.inf)) == upper
 
 
 class TestTimeFixedWorkloads:
