@@ -20,9 +20,11 @@ trade explicit:
    (``derive_seed(seed, CAL_STREAM, run, battery)`` shared across
    candidates — common random numbers, so identical behaviour yields
    bit-identical energy).  Measured joules are the behavioural term;
-   the cost model prices the residual checks that actually fired (the
-   simulator charges checks nothing, so the two terms never double
-   count).
+   the cost model prices the residual checks that actually fired, read
+   from the interpreter's per-site executed counts
+   (``InterpStats.check_sites``) — no profiler is attached, so cells
+   run at full engine speed, JIT included (the simulator charges
+   checks nothing, so the two terms never double count).
 4. **Score risk** by Monte-Carlo: per pinned class, draws from the
    Laplace-smoothed empirical attributor-mode distribution (observed
    on the dynamic baseline's trace) estimate the per-decision
@@ -208,7 +210,6 @@ def _calibration_worker(task: Dict[str, object]) -> Dict[str, object]:
     from repro.analysis import analyze_program, apply_assignment
     from repro.lang.interp import Interpreter, InterpOptions
     from repro.lang.typechecker import check_program
-    from repro.obs.prof import Profiler
     from repro.platform.systems import make_platform
 
     assignment: Dict[str, Optional[str]] = task["assignment"]
@@ -225,25 +226,19 @@ def _calibration_worker(task: Dict[str, object]) -> Dict[str, object]:
     if task["collect_events"]:
         from repro.obs.tracer import Tracer
         tracer = Tracer(capacity=task.get("trace_capacity", 65536))
-    profiler = Profiler(task["engine"])
     options = InterpOptions(engine=task["engine"], elide_checks=True,
                             fuel=task["fuel"],
                             checks=task.get("checks", "full"))
     interp = Interpreter(checked, platform=platform, options=options,
-                         seed=task["platform_seed"], tracer=tracer,
-                         profiler=profiler)
+                         seed=task["platform_seed"], tracer=tracer)
     toplevel_exception = False
     try:
         interp.run(list(task["args"]))
     except EnergyException:
         toplevel_exception = True
-    profile = profiler.profile
     result: Dict[str, object] = {
         "energy_j": platform.energy_total_j(),
-        "check_executed": {
-            sid: int(entry.get("executed", 0))
-            for sid, entry in sorted(profile.check_sites.items())
-            if int(entry.get("executed", 0)) > 0},
+        "check_executed": dict(sorted(interp.stats.check_sites.items())),
         "energy_exceptions": interp.stats.energy_exceptions,
         "steps": interp.stats.steps,
         "toplevel_exception": toplevel_exception,

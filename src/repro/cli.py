@@ -52,6 +52,9 @@ them in Prometheus text format.
 
 ``run`` observability options (see ``docs/OBSERVABILITY.md``):
 
+    --stats                 print the run counters as one JSON object
+                            on stderr; ``check_sites`` maps each check
+                            site id to its executed count
     --trace PATH            record a trace of the run to PATH
     --trace-format FORMAT   "jsonl" (default; for ``repro obs report``)
                             or "chrome" (opens in Perfetto /
@@ -87,6 +90,7 @@ from repro.lang.lexer import tokenize
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
 from repro.lang.typechecker import check_program
+from repro.obs.export import trace_path
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,12 +136,15 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="initial battery fraction (with --system)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--stats", action="store_true",
-                     help="print run statistics as JSON on stderr")
+                     help="print run statistics (including per-site "
+                          "executed checks, check_sites) as JSON on "
+                          "stderr")
     run.add_argument("--lenient-mcase", action="store_true")
     run.add_argument("--no-elide", action="store_true",
                      help="run every dynamic check (skip the "
                           "repro.analysis elision planner)")
     run.add_argument("--trace", metavar="PATH", default=None,
+                     type=trace_path,
                      help="record an execution trace to PATH")
     run.add_argument("--trace-format", choices=["jsonl", "chrome"],
                      default="jsonl",

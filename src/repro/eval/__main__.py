@@ -30,6 +30,7 @@ from typing import List, Optional
 
 from repro.core.jobs import non_negative_int, positive_int
 from repro.eval.export import FIGURES
+from repro.obs.export import trace_path
 from repro.workloads import ALL_WORKLOADS, BATTERY_MODES, E3_BENCHMARKS
 
 BENCHMARKS = [w.name for w in ALL_WORKLOADS]
@@ -49,6 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="parallel episode workers (default: "
                               "serial, 0 = all cores)")
         cmd.add_argument("--trace", metavar="PATH", default=None,
+                         type=trace_path,
                          help="record the (merged) episode trace")
         cmd.add_argument("--trace-format", choices=["jsonl", "chrome"],
                          default="jsonl")
@@ -104,6 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="e1 silent build")
     episode.add_argument("--seed", type=int, default=0)
     episode.add_argument("--trace", metavar="PATH", required=True,
+                         type=trace_path,
                          help="write the episode trace to PATH")
     episode.add_argument("--trace-format", choices=["jsonl", "chrome"],
                          default="jsonl")

@@ -48,6 +48,7 @@ from repro.core.errors import StuckError
 from repro.core.modes import BOTTOM, TOP, Mode
 from repro.lang import ast_nodes as ast
 from repro.lang import types as ty
+from repro.obs.prof import site_id
 
 __all__ = ["VMCode", "CallSite", "lower_body", "lower_expr",
            "instrument", "disassemble", "OP_NAMES", "OP_COST_KEYS",
@@ -122,7 +123,7 @@ OP_FALLOFF = 61        # ()               body end without return
 OP_BREAK_NOLOOP = 62   # ()
 OP_CONT_NOLOOP = 63    # ()
 OP_PROFILE = 64        # (label,)  profiler bump (instrument() only)
-OP_SNAPSHOT_SHALLOW = 65  # (dst, src, bounds, span)  transient re-snapshot
+OP_SNAPSHOT_SHALLOW = 65  # (dst, src, bounds, span, sid)  re-snapshot
 
 OP_NAMES = {
     OP_FUEL: "FUEL", OP_JF_LT: "JF_LT", OP_JF_LE: "JF_LE",
@@ -255,14 +256,17 @@ class CallSite:
     descriptors, and the polymorphic inline cache (receiver class name
     -> ``(minfo, wants, leaf code or None, transparent)``)."""
 
-    __slots__ = ("name", "span", "arg_regs", "arg_elims", "any_elim",
-                 "elide_dfall", "recv_is_this", "raw_result", "ic",
-                 "heat")
+    __slots__ = ("name", "span", "dfall_sid", "arg_regs", "arg_elims",
+                 "any_elim", "elide_dfall", "recv_is_this", "raw_result",
+                 "ic", "heat")
 
     def __init__(self, name, span, arg_regs, arg_elims, elide_dfall,
                  recv_is_this, raw_result) -> None:
         self.name = name
         self.span = span
+        #: The dfall check's site id (``InterpStats.check_sites`` key),
+        #: formatted once here so the leaf paths never format per send.
+        self.dfall_sid = site_id("dfall", span)
         self.arg_regs = arg_regs
         #: Per-argument elimination descriptor: ``None`` — the value can
         #: never be an mcase; ``-1`` — eliminate at the caller's current
@@ -677,7 +681,12 @@ class _Lowering:
                 snap_op = OP_SNAPSHOT_SHALLOW
             else:
                 snap_op = OP_SNAPSHOT
-            self.emit(snap_op, dest, src, bounds, expr.span)
+            if snap_op == OP_SNAPSHOT_SHALLOW:
+                # The fast path counts its site without formatting.
+                self.emit(snap_op, dest, src, bounds, expr.span,
+                          site_id("snapshot_bound", expr.span))
+            else:
+                self.emit(snap_op, dest, src, bounds, expr.span)
             return dest
         if cls is ast.Cast:
             src = self.expr(expr.expr)

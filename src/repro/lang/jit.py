@@ -278,6 +278,7 @@ class _Emitter:
         interp = self.interp
         for name, obj in (
                 ("_stats", interp.stats),
+                ("_check_sites", interp.stats.check_sites),
                 ("_interp", interp),
                 ("MCaseV", _MCaseV),
                 ("ObjectV", ObjectV),
@@ -618,6 +619,7 @@ class _Emitter:
                 w(d + 2, "_stats.snapshots += 1")
                 w(d + 2, "_stats.bound_checks += 1")
                 w(d + 2, "_stats.shallow_checks += 1")
+                self._emit_site_count(d + 2, inst[5])
                 w(d + 2, f"r{inst[1]} = _v")
                 w(d + 1, "else:")
                 w(d + 2, f"r{inst[1]} = {slow}")
@@ -796,7 +798,8 @@ class _Emitter:
                 if not compile_self_call:
                     w(d + 1, "if _recv is not this_obj:")
                     dd = d + 2
-                    self._emit_dfall(dd, op, minfo_name, span_expr)
+                    self._emit_dfall(dd, op, minfo_name, span_expr,
+                                     site.dfall_sid)
                 closure = "(_gm if _gm is not None else current_mode)"
             w(d + 1, f"_f2 = _Frame(_recv, _recv.mode_env, {closure})")
             w(d + 1, f"_rg2 = {self.bind(callee.template)}.copy()")
@@ -830,7 +833,12 @@ class _Emitter:
         w(d + 1, f"vm._note_deopt({self.bind(self.code)})")
         w(d + 1, f"r{dst} = {generic('_recv', self_call)}")
 
-    def _emit_dfall(self, d, op, minfo_name, span_expr) -> None:
+    def _emit_site_count(self, d, sid) -> None:
+        """One executed check at ``sid`` (the id is a source literal)."""
+        self.w(d, f"_check_sites[{sid!r}] = "
+                  f"_check_sites.get({sid!r}, 0) + 1")
+
+    def _emit_dfall(self, d, op, minfo_name, span_expr, sid) -> None:
         """The waterfall check at a non-self leaf send: planner-elided
         counting, the inlined closure-table probe, or (baseline) the
         helper — the same split as the VM's leaf path."""
@@ -843,6 +851,7 @@ class _Emitter:
             up = self.bind(self.interp._mode_up, "_mode_up")
             w(d, f"if _gm is not None and current_mode in {up}[_gm]:")
             w(d + 1, "_stats.dfall_checks += 1")
+            self._emit_site_count(d + 1, sid)
             if self.interp._transient:
                 w(d + 1, "_stats.shallow_checks += 1")
             w(d, "else:")

@@ -420,6 +420,10 @@ class VM:
                                               and current_mode
                                               in interp._mode_up[guard]):
                                             stats.dfall_checks += 1
+                                            sites = stats.check_sites
+                                            sid = site.dfall_sid
+                                            sites[sid] = (
+                                                sites.get(sid, 0) + 1)
                                             if interp._transient:
                                                 stats.shallow_checks += 1
                                         else:
@@ -805,6 +809,9 @@ class VM:
                                     stats.snapshots += 1
                                     stats.bound_checks += 1
                                     stats.shallow_checks += 1
+                                    sites = stats.check_sites
+                                    sid = inst[5]
+                                    sites[sid] = sites.get(sid, 0) + 1
                                     regs[inst[1]] = src
                                     continue
                         regs[inst[1]] = interp._snapshot_value(

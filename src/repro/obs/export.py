@@ -12,6 +12,7 @@ Timestamps are converted from seconds to the format's microseconds.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 from typing import Dict, IO, Iterable, List, Sequence, Union
@@ -21,7 +22,7 @@ from repro.obs.events import (MeterSampleEvent, Span, TraceEvent,
 
 __all__ = ["write_jsonl", "read_jsonl", "chrome_trace",
            "write_chrome_trace", "write_trace", "render_prometheus",
-           "TRACE_FORMATS"]
+           "trace_path", "TRACE_FORMATS"]
 
 TRACE_FORMATS = ("jsonl", "chrome")
 
@@ -208,3 +209,20 @@ def write_trace(events: Sequence[TraceEvent], target: Union[str, IO[str]],
         return write_chrome_trace(events, target)
     raise ValueError(f"unknown trace format {fmt!r}; "
                      f"expected one of {', '.join(TRACE_FORMATS)}")
+
+
+def trace_path(path: str) -> str:
+    """``argparse`` type for a ``--trace PATH`` option: ``path`` when a
+    trace can be written there, else a usage error — reported when the
+    command line is parsed, before the run the trace would record."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(
+            f"cannot write {path}: no such directory {parent}")
+    target = path if os.path.exists(path) else parent
+    if not os.access(target, os.W_OK):
+        raise argparse.ArgumentTypeError(
+            f"cannot write {path}: permission denied")
+    return path

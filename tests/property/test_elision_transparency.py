@@ -104,11 +104,25 @@ def run_config(source, *, engine, elide, battery=0.6):
 
 def fold_elided(stats):
     """Stats with executed and elided checks folded together — the
-    only difference elision is allowed to make."""
+    only difference elision is allowed to make.  The per-site executed
+    counts are compared separately (:func:`assert_sites_restricted`)."""
     out = dict(stats)
     out["dfall_checks"] += out.pop("dfall_elided")
     out["bound_checks"] += out.pop("bound_checks_elided")
+    del out["check_sites"]
     return out
+
+
+def assert_sites_restricted(on, off):
+    """Elision is per site: every site still executing under elision
+    runs exactly as often as without it, and the sites that vanished
+    account for every elided check."""
+    on_sites, off_sites = on["check_sites"], off["check_sites"]
+    for sid, count in on_sites.items():
+        assert off_sites.get(sid) == count, sid
+    dropped = sum(count for sid, count in off_sites.items()
+                  if sid not in on_sites)
+    assert dropped == on["dfall_elided"] + on["bound_checks_elided"]
 
 
 def assert_transparent(source, engine):
@@ -123,6 +137,7 @@ def assert_transparent(source, engine):
     # Every other counter is untouched; elision only moves checks from
     # the executed column to the elided column.
     assert fold_elided(on[2]) == fold_elided(off[2])
+    assert_sites_restricted(on[2], off[2])
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)

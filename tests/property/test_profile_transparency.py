@@ -19,6 +19,10 @@ It also pins the tentpole's check-level guarantees:
   profile is exact, not sampled.
 * **Cross-engine check invariance** — the per-site check counts are
   identical across walk/vm/jit.
+* **Always-on site counts** — ``InterpStats.check_sites`` (kept by
+  every engine's fast paths, no profiler needed) is identical across
+  walk/vm/jit under full and transient checks, sums to the executed
+  totals, and equals the profile's per-site ``executed`` counts.
 """
 
 import pathlib
@@ -34,6 +38,9 @@ from repro.lang.typechecker import check_program
 from repro.obs.prof import Profiler
 
 from test_soundness import programs  # type: ignore
+from test_elision_transparency import (  # type: ignore
+    KERNELS as ELISION_KERNELS)
+from test_transient_checks import HOT_RESNAPSHOT  # type: ignore
 from test_vm_agreement import KERNEL_PROGRAMS  # type: ignore
 
 _ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -46,7 +53,8 @@ ENGINES = ("walk", "vm", "jit")
 
 
 def run_engine(source: str, engine: str, battery: float = 0.6,
-               elide: bool = True, profile: bool = False):
+               elide: bool = True, profile: bool = False,
+               checks: str = "full", jit_hot: bool = False):
     """Returns ``(observables, profile, analysis_report, stats)``.
 
     ``observables`` includes the *full* stats dict — ``steps`` too:
@@ -64,8 +72,14 @@ def run_engine(source: str, engine: str, battery: float = 0.6,
     profiler = Profiler(engine) if profile else None
     interp = Interpreter(
         checked, platform=_Battery(),
-        options=InterpOptions(engine=engine, fuel=500_000),
+        options=InterpOptions(engine=engine, fuel=500_000,
+                              checks=checks),
         profiler=profiler)
+    if jit_hot:
+        # Compile every body on first call or loop head, so the
+        # emitted check paths run instead of the VM's.
+        interp._vm._hot_call = 1
+        interp._vm._hot_loop = 1
     try:
         interp.run()
         outcome = ("ok", None)
@@ -179,3 +193,62 @@ def test_random_programs_static_vs_observed_clean(source):
         _, profile, report, _ = run_engine(source, engine, profile=True)
         diff = static_vs_observed(report, profile)
         assert diff.clean, diff.render()
+
+
+CHECKS = ("full", "transient")
+
+
+def assert_site_counts_agree(source: str, checks: str,
+                             elide: bool = True) -> None:
+    """``stats.check_sites`` is engine invariant (JIT at shipped and at
+    minimal thresholds), sums to the executed totals, and matches a
+    profiled run's per-site ``executed``."""
+    reference = None
+    hot = run_engine(source, "jit", checks=checks, elide=elide,
+                     jit_hot=True)[3]
+    for engine in ENGINES:
+        _, _, _, stats = run_engine(source, engine, checks=checks,
+                                    elide=elide)
+        sites = stats["check_sites"]
+        assert sum(sites.values()) == (stats["dfall_checks"]
+                                       + stats["bound_checks"]), engine
+        _, profile, _, profiled = run_engine(source, engine,
+                                             checks=checks, elide=elide,
+                                             profile=True)
+        assert profiled["check_sites"] == sites, engine
+        executed = {sid: entry["executed"]
+                    for sid, entry in profile.check_sites.items()
+                    if entry["executed"]}
+        assert executed == sites, engine
+        if reference is None:
+            reference = sites
+        else:
+            assert sites == reference, engine
+    assert hot["check_sites"] == reference
+
+
+#: The examples, the workload kernels, the elision kernels (hot sends
+#: that tier up with a populated inline cache, so the JIT's inlined dfall
+#: probe counts) and a re-snapshot loop (the VM's and JIT's inlined
+#: shallow snapshot under transient checks).
+SITE_CORPUS = {
+    **{pathlib.Path(p).stem: (_ROOT / p).read_text()
+       for p in FIXED_PROGRAMS},
+    **dict(zip(["accumulate", "pagerank", "crypto"], KERNEL_PROGRAMS)),
+    **ELISION_KERNELS,
+    "resnapshot": HOT_RESNAPSHOT,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SITE_CORPUS))
+@pytest.mark.parametrize("checks", CHECKS)
+@pytest.mark.parametrize("elide", [False, True], ids=["checks", "elide"])
+def test_site_counts_agree(name, checks, elide):
+    assert_site_counts_agree(SITE_CORPUS[name], checks, elide)
+
+
+@settings(max_examples=15, deadline=None)
+@given(programs())
+def test_random_programs_site_counts_agree(source):
+    for checks in CHECKS:
+        assert_site_counts_agree(source, checks)

@@ -420,3 +420,57 @@ def test_advise_config_defaults():
     assert cfg.batteries == (1.0,)
     assert cfg.runs >= 1 and cfg.samples >= 1
     assert cfg.jobs == 1
+
+
+# ---------------------------------------------------------------------------
+# Calibration cells run on the chosen engine, without a profiler
+
+
+@pytest.fixture
+def built_interpreters(monkeypatch):
+    """Every interpreter the calibration worker builds, in order."""
+    from repro.lang import interp as interp_mod
+
+    built = []
+
+    class Recording(interp_mod.Interpreter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(interp_mod, "Interpreter", Recording)
+    return built
+
+
+def test_calibration_worker_attaches_no_profiler(built_interpreters):
+    from repro.advise import measure_assignment
+
+    measure_assignment(CRAWLER, {"Agent": "managed", "Site": None},
+                       AdviseConfig(engine="vm"), platform_seed=7,
+                       file="crawler.ent")
+    (interp,) = built_interpreters
+    assert not interp.profiler.enabled
+    assert interp._vm._fast_ok
+
+
+def test_calibration_cell_tiers_up_on_jit(built_interpreters):
+    from repro.advise import measure_assignment
+
+    measure_assignment(CRAWLER, {"Agent": "managed", "Site": None},
+                       AdviseConfig(engine="jit"), platform_seed=7,
+                       file="crawler.ent")
+    (interp,) = built_interpreters
+    assert interp._vm.jit_compiles > 0
+
+
+@pytest.mark.parametrize("engine", ["walk", "vm", "jit"])
+def test_measure_assignment_check_counts_pinned(engine):
+    """Per-site executed counts for one pinned crawler assignment; the
+    values are the ones the profiler-based calibration reported."""
+    from repro.advise import measure_assignment
+
+    result = measure_assignment(
+        CRAWLER, {"Agent": "managed", "Site": None},
+        AdviseConfig(engine=engine), platform_seed=7, file="crawler.ent")
+    assert result["check_executed"] == {
+        "dfall@50:16": 2, "dfall@?": 1, "snapshot_bound@49:18": 3}

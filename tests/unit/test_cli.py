@@ -105,6 +105,8 @@ class TestRun:
         stats = json.loads(err.strip().splitlines()[-1])
         assert stats["snapshots"] == 1
         assert "battery" not in stats
+        assert sum(stats["check_sites"].values()) == (
+            stats["dfall_checks"] + stats["bound_checks"])
 
     def test_platform_flag(self, program, capsys):
         assert main(["run", program(GOOD), "--system", "A",
@@ -195,6 +197,19 @@ class TestObs:
         events = data["traceEvents"]
         assert events
         assert all("ph" in e and "pid" in e for e in events)
+
+    @pytest.mark.parametrize("target", ["missing/t.jsonl", "."],
+                             ids=["no-such-dir", "directory"])
+    def test_unwritable_trace_rejected_before_run(self, program, capsys,
+                                                  tmp_path, target):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", program(GOOD), "--trace",
+                  str(tmp_path / target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the program never ran
+        assert "argument --trace" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_obs_report(self, program, capsys, tmp_path):
         trace = tmp_path / "t.jsonl"

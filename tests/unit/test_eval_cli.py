@@ -33,6 +33,12 @@ class TestFigureCommands:
         assert "crypto on System A" in out
         assert "monotone downward: True" in out
 
+    def test_episode_writes_trace(self, tmp_path, capsys):
+        trace = tmp_path / "e1.jsonl"
+        assert main(["episode", "--experiment", "e1",
+                     "--trace", str(trace)]) == 0
+        assert trace.read_text().strip()
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["figure99"])
@@ -60,12 +66,17 @@ class TestBadInput:
         ["episode", "--experiment", "e1", "--engine", "vm",
          "--trace", "t.jsonl"],
         ["advise"],
+        # An unwritable --trace target is rejected before anything runs.
+        ["episode", "--experiment", "e1", "--trace", "missing/t.jsonl"],
+        ["episode", "--experiment", "e1", "--trace", "."],
+        ["figure7", "--trace", "missing/t.jsonl"],
     ], ids=["drain-system", "drain-benchmark", "drain-iterations",
             "episode-benchmark", "episode-boot", "episode-workload-mode",
             "episode-e3-benchmark", "figure8-benchmarks",
             "figure11-benchmarks", "figure-trace-capacity",
             "export-figures", "episode-units", "episode-engine",
-            "advise"])
+            "advise", "episode-trace-no-dir", "episode-trace-dir",
+            "figure-trace-no-dir"])
     def test_usage_error(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
