@@ -89,8 +89,12 @@ def pin_classes(source: str, assignment: Dict[str, Optional[str]],
     attributor body becomes ``{ return <mode>; }``.
 
     Works on the token stream, not the AST, so the rewritten text
-    round-trips through the normal front end and every span outside
-    the replaced bodies is preserved.  The class attributor is the
+    round-trips through the normal front end.  Spans are *not*
+    preserved: each replacement is one line, so a multi-line body
+    shifts every later line (and the rest of its own last line), and
+    site ids read from the rewritten text (``dfall@line:col``) name a
+    different position than the same site in ``source``.  Text before
+    the first replaced body keeps its spans.  The class attributor is the
     ``attributor`` keyword at class-body depth whose previous
     significant token is ``{``, ``}`` or ``;`` — method-level
     attributors follow a ``)`` and are left alone (they remain part of

@@ -20,31 +20,21 @@ class SimClock:
     """Simulated wall-clock time in seconds.
 
     Components advance the clock whenever they model an activity that
-    takes time (CPU work, I/O, sleeping).  Observers (meters, thermal
-    models) subscribe to advancement to integrate their state.
+    takes time (CPU work, I/O, sleeping); the platform integrates
+    energy, heat and charge over the same interval itself.
     """
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._listeners = []
 
     @property
     def now(self) -> float:
         return self._now
 
-    def subscribe(self, listener) -> None:
-        """``listener(start_time, duration)`` is called on every advance."""
-        self._listeners.append(listener)
-
     def advance(self, duration: float) -> None:
         if duration < 0:
             raise ValueError(f"cannot advance time by {duration}")
-        if duration == 0:
-            return
-        start = self._now
         self._now += duration
-        for listener in self._listeners:
-            listener(start, duration)
 
     def __repr__(self) -> str:
         return f"SimClock(t={self._now:.6f}s)"

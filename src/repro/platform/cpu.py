@@ -15,8 +15,9 @@ cycles let the *hardware* drop to a lower-power mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+import math
+from dataclasses import dataclass, field
+from typing import Tuple
 
 #: One work unit = this many operations.
 OPS_PER_UNIT = 1.0e6
@@ -33,6 +34,15 @@ class CpuSpec:
     idle_w: float
     #: Dynamic power coefficient: P_dyn = k * f_ghz * V^2 (watts).
     dyn_coeff: float
+    #: Per-level tables of :meth:`ops_per_second`, :meth:`idle_power`
+    #: and :meth:`busy_power`, filled once at construction: the spec is
+    #: immutable, and the platform reads them on every interval.
+    ops_table: Tuple[float, ...] = field(init=False, repr=False,
+                                         compare=False)
+    idle_table: Tuple[float, ...] = field(init=False, repr=False,
+                                          compare=False)
+    busy_table: Tuple[float, ...] = field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self) -> None:
         if len(self.freqs_ghz) != len(self.voltages):
@@ -41,30 +51,35 @@ class CpuSpec:
             raise ValueError("CPU needs at least one operating point")
         if list(self.freqs_ghz) != sorted(self.freqs_ghz):
             raise ValueError("frequency levels must be ascending")
+        # Leakage tracks the supply voltage (roughly quadratically), so
+        # a lower operating point also cuts the idle floor — this is
+        # what makes DVFS a net win rather than race-to-idle always
+        # dominating.  ``idle_w`` is the figure at the top level.
+        v_max = self.voltages[-1]
+        ops, idle, busy = [], [], []
+        for freq, volt in zip(self.freqs_ghz, self.voltages):
+            ops.append(freq * 1.0e9 * self.ipc)
+            ratio = volt / v_max
+            leak = self.idle_w * ratio * ratio
+            idle.append(leak)
+            busy.append(leak + self.dyn_coeff * freq * volt * volt)
+        object.__setattr__(self, "ops_table", tuple(ops))
+        object.__setattr__(self, "idle_table", tuple(idle))
+        object.__setattr__(self, "busy_table", tuple(busy))
 
     @property
     def levels(self) -> int:
         return len(self.freqs_ghz)
 
     def ops_per_second(self, level: int) -> float:
-        return self.freqs_ghz[level] * 1.0e9 * self.ipc
+        return self.ops_table[level]
 
     def idle_power(self, level: int) -> float:
-        """Static/leakage power at a DVFS level.
-
-        Leakage tracks the supply voltage (roughly quadratically), so a
-        lower operating point also cuts the idle floor — this is what
-        makes DVFS a net win rather than race-to-idle always dominating.
-        ``idle_w`` is the figure at the top level.
-        """
-        v_max = self.voltages[-1]
-        ratio = self.voltages[level] / v_max
-        return self.idle_w * ratio * ratio
+        """Static/leakage power at a DVFS level."""
+        return self.idle_table[level]
 
     def busy_power(self, level: int) -> float:
-        freq = self.freqs_ghz[level]
-        volt = self.voltages[level]
-        return self.idle_power(level) + self.dyn_coeff * freq * volt * volt
+        return self.busy_table[level]
 
     def max_power(self) -> float:
         return self.busy_power(self.levels - 1)
@@ -97,7 +112,6 @@ class OndemandGovernor:
         if duration_s <= 0:
             return
         # Exponential forgetting with the window as time constant.
-        import math
         alpha = 1.0 - math.exp(-duration_s / self.window_s)
         target = 1.0 if busy else 0.0
         self._util += alpha * (target - self._util)
@@ -143,30 +157,32 @@ class Cpu:
         self.current_level = self.governor.select_level()
         self.total_work_units = 0.0
 
-    def execute(self, units: float) -> Tuple[float, float]:
-        """Run ``units`` of work; returns ``(duration_s, power_w)``.
+    def execute(self, units: float,
+                period_s: float) -> Tuple[float, float, float]:
+        """Run up to one governor period ``period_s`` of ``units`` of
+        work; returns ``(units_run, duration_s, power_w)``.
 
-        The governor sees the work as a fully busy interval and may
-        raise the level for subsequent work.
+        The governor is consulted once: its level sets both the slice
+        size and the speed.  It then sees the slice as a fully busy
+        interval and may raise the level for subsequent work.
         """
         if units < 0:
             raise ValueError("work units must be non-negative")
-        if units == 0:
-            return 0.0, self.spec.idle_w
-        level = self.governor.select_level()
-        self.current_level = level
-        duration = units * OPS_PER_UNIT / self.spec.ops_per_second(level)
-        power = self.spec.busy_power(level)
+        spec = self.spec
+        level = self.current_level = self.governor.select_level()
+        ops_per_second = spec.ops_table[level]
+        units = min(units, ops_per_second / OPS_PER_UNIT * period_s)
+        duration = units * OPS_PER_UNIT / ops_per_second
         self.governor.observe(True, duration)
         self.total_work_units += units
-        return duration, power
+        return units, duration, spec.busy_table[level]
 
     def idle(self, duration_s: float) -> float:
         """Account an idle interval; returns the idle power draw at the
         level the governor settles on."""
         self.governor.observe(False, duration_s)
-        self.current_level = self.governor.select_level()
-        return self.spec.idle_power(self.current_level)
+        level = self.current_level = self.governor.select_level()
+        return self.spec.idle_table[level]
 
 
 # ---------------------------------------------------------------------------

@@ -135,15 +135,13 @@ class Platform:
     governor_period_s = 0.1
 
     def cpu_work(self, units: float) -> None:
+        cpu = self.cpu
+        period_s = self.governor_period_s
         remaining = units
         while remaining > 0:
-            level = self.cpu.governor.select_level()
-            per_second = (self.cpu.spec.ops_per_second(level) / 1.0e6)
-            slice_units = min(remaining,
-                              per_second * self.governor_period_s)
-            duration, cpu_power = self.cpu.execute(slice_units)
-            duration *= self._speed_factor
-            self._account(duration, cpu_power=cpu_power)
+            slice_units, duration, cpu_power = cpu.execute(remaining,
+                                                           period_s)
+            self._account(duration * self._speed_factor, cpu_power)
             remaining -= slice_units
 
     def io_bytes(self, count: float) -> None:
@@ -151,8 +149,7 @@ class Platform:
             return
         duration = count / self.io_bytes_per_s * self._speed_factor
         self._account(duration,
-                      cpu_power=self.cpu.spec.idle_power(
-                          self.cpu.current_level),
+                      self.cpu.spec.idle_table[self.cpu.current_level],
                       extra=("io_j", self.io_active_w))
 
     def net_bytes(self, count: float) -> None:
@@ -160,8 +157,7 @@ class Platform:
             return
         duration = count / self.net_bytes_per_s * self._speed_factor
         self._account(duration,
-                      cpu_power=self.cpu.spec.idle_power(
-                          self.cpu.current_level),
+                      self.cpu.spec.idle_table[self.cpu.current_level],
                       extra=("net_j", self.net_active_w))
 
     def sleep(self, seconds: float) -> None:
@@ -169,7 +165,7 @@ class Platform:
             return
         idle_power = self.cpu.idle(seconds)
         self.sleep_total_s += seconds
-        self._account(seconds, cpu_power=idle_power)
+        self._account(seconds, idle_power)
 
     def now(self) -> float:
         return self.clock.now
@@ -179,19 +175,22 @@ class Platform:
     def _account(self, duration: float, cpu_power: float,
                  extra: Optional[tuple] = None) -> None:
         """Advance time and integrate energy/thermal for one interval."""
-        self.ledger.add("cpu_j", cpu_power * duration)
-        self.ledger.add("peripheral_j", self.peripheral_w * duration)
-        self.ledger.add("display_j", self.display_w * duration)
+        # The fixed components go straight onto the ledger's fields;
+        # ``EnergyLedger.add`` validates names for outside callers.
+        ledger = self.ledger
+        ledger.cpu_j += cpu_power * duration
+        ledger.peripheral_j += self.peripheral_w * duration
+        ledger.display_j += self.display_w * duration
         total_power = cpu_power + self.peripheral_w + self.display_w
         if extra is not None:
             component, watts = extra
-            self.ledger.add(component, watts * duration)
+            ledger.add(component, watts * duration)
             total_power += watts
-        self.thermal.step(cpu_power, duration)
+        temperature = self.thermal.step(cpu_power, duration)
         self.battery.drain(total_power * duration)
-        self.clock.advance(duration)
-        self.temperature_trace.append(
-            (self.clock.now, self.thermal.temperature_c))
+        clock = self.clock
+        clock.advance(duration)
+        self.temperature_trace.append((clock.now, temperature))
 
     def meter(self) -> Meter:
         return self.meter_class(self.ledger, rng=self.rng,
@@ -204,7 +203,7 @@ class Platform:
         return (f"<{type(self).__name__} t={self.clock.now:.3f}s "
                 f"E={self.ledger.total_j:.2f}J "
                 f"T={self.thermal.temperature_c:.1f}C "
-                f"bat={self.battery_fraction():.0%}>")
+                f"bat={self.battery.fraction(self.clock.now):.0%}>")
 
 
 class SystemA(Platform):

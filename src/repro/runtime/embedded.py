@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import copy
 import functools
-from contextlib import contextmanager
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from typing import Dict, Optional, Union
@@ -113,6 +112,10 @@ class EntRuntime:
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         if platform is not None:
             attach_platform(self.tracer, platform)
+        #: The lattice's closure table (``b in _mode_up[a]`` is
+        #: ``a <= b``).  Every mode a check sees is already validated,
+        #: so the checks probe it directly, as the lang engines do.
+        self._mode_up = lattice.up
         self._mode_stack = [TOP]
         self._self_stack = [None]
 
@@ -153,35 +156,15 @@ class EntRuntime:
     def current_mode(self) -> Mode:
         return self._mode_stack[-1]
 
-    @contextmanager
-    def booted(self, obj_or_mode):
+    def booted(self, obj_or_mode) -> "_Booted":
         """Run a block in the mode of ``obj_or_mode`` (the boot mode).
 
         Typically used with a freshly snapshotted "entry" object (the
         paper's Agent): all messaging inside the block is waterfall-
-        checked against this mode.
+        checked against this mode.  ``with rt.booted(x) as mode:``
+        binds the boot mode; it is resolved on entry.
         """
-        if isinstance(obj_or_mode, (Mode, str)):
-            mode = self.mode(obj_or_mode)
-        else:
-            tag = get_tag(obj_or_mode)
-            if tag is None or tag.mode is None:
-                raise EnergyException(
-                    "cannot boot from an un-snapshotted dynamic object")
-            mode = tag.mode
-        traced = self.tracer.enabled
-        if traced:
-            self.tracer.mode_transition("closure", self.current_mode, mode)
-        self._mode_stack.append(mode)
-        self._self_stack.append(None)
-        try:
-            yield mode
-        finally:
-            self._mode_stack.pop()
-            self._self_stack.pop()
-            if traced:
-                self.tracer.mode_transition("closure", mode,
-                                            self.current_mode)
+        return _Booted(self, obj_or_mode)
 
     # ------------------------------------------------------------------
     # Class decorators
@@ -311,8 +294,8 @@ class EntRuntime:
             if self.tracer.enabled:
                 self.tracer.energy_exception(message)
             raise EnergyException(message)
-        sender = self.current_mode
-        holds = self.lattice.leq(guard, sender)
+        sender = self._mode_stack[-1]
+        holds = sender in self._mode_up[guard]
         if self.tracer.enabled:
             self.tracer.emit(DfallCheckEvent(
                 ts=self.tracer.now(), cls=type(obj).__name__,
@@ -362,7 +345,8 @@ class EntRuntime:
             self.profiler.check_id(
                 f"snapshot_bound@{type(obj).__name__}", "snapshot_bound",
                 self.current_mode)
-        ok = self.lattice.leq(lo, mode) and self.lattice.leq(mode, hi)
+        up = self._mode_up
+        ok = mode in up[lo] and hi in up[mode]
         lazy = ok and self.lazy_copy and not tag.is_snapshot
         if traced:
             self.tracer.emit(SnapshotEvent(
@@ -397,7 +381,7 @@ class EntRuntime:
         result = obj.attributor()
         if isinstance(result, str):
             result = Mode(result)
-        if not isinstance(result, Mode) or result not in self.lattice:
+        if not isinstance(result, Mode) or result not in self._mode_up:
             raise EntError(
                 f"attributor of {type(obj).__name__} returned "
                 f"{result!r}, which is not a declared mode")
@@ -430,6 +414,51 @@ class EntRuntime:
         """Build a :class:`ModeCase` bound to this runtime."""
         return ModeCase(self, branches, default=default,
                         has_default=has_default)
+
+
+class _Booted:
+    """The context manager :meth:`EntRuntime.booted` returns.
+
+    Entry resolves the boot mode and pushes it as the closure mode;
+    exit pops it, whether or not the block raised, and never swallows
+    the exception.
+    """
+
+    __slots__ = ("runtime", "target", "mode", "traced")
+
+    def __init__(self, runtime: EntRuntime, target) -> None:
+        self.runtime = runtime
+        self.target = target
+
+    def __enter__(self) -> Mode:
+        runtime = self.runtime
+        target = self.target
+        if isinstance(target, (Mode, str)):
+            mode = runtime.mode(target)
+        else:
+            tag = get_tag(target)
+            if tag is None or tag.mode is None:
+                raise EnergyException(
+                    "cannot boot from an un-snapshotted dynamic object")
+            mode = tag.mode
+        self.mode = mode
+        tracer = runtime.tracer
+        traced = self.traced = tracer.enabled
+        if traced:
+            tracer.mode_transition("closure", runtime._mode_stack[-1],
+                                   mode)
+        runtime._mode_stack.append(mode)
+        runtime._self_stack.append(None)
+        return mode
+
+    def __exit__(self, *exc) -> None:
+        runtime = self.runtime
+        mode_stack = runtime._mode_stack
+        mode_stack.pop()
+        runtime._self_stack.pop()
+        if self.traced:
+            runtime.tracer.mode_transition("closure", self.mode,
+                                           mode_stack[-1])
 
 
 class ModeCase:

@@ -474,3 +474,23 @@ def test_measure_assignment_check_counts_pinned(engine):
         AdviseConfig(engine=engine), platform_seed=7, file="crawler.ent")
     assert result["check_executed"] == {
         "dfall@50:16": 2, "dfall@?": 1, "snapshot_bound@49:18": 3}
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "pin_classes collapses a multi-line attributor onto one line, so "
+    "every later site id shifts in the pinned candidates"))
+def test_pinned_candidates_keep_the_source_site_ids():
+    """One check site has one id across candidates: pinning Agent's
+    attributor must not rename the sites below it."""
+    from repro.advise import measure_assignment
+
+    def site_ids(assignment):
+        result = measure_assignment(
+            CRAWLER, assignment, AdviseConfig(engine="vm"),
+            platform_seed=7, file="crawler.ent")
+        return set(result["check_executed"])
+
+    baseline = site_ids({"Agent": None, "Site": None})
+    pinned = site_ids({"Agent": "managed", "Site": None})
+    assert "dfall@57:16" in baseline
+    assert pinned <= baseline

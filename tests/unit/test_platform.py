@@ -23,14 +23,6 @@ class TestClock:
         with pytest.raises(ValueError):
             SimClock().advance(-1)
 
-    def test_listener(self):
-        clock = SimClock()
-        events = []
-        clock.subscribe(lambda start, dur: events.append((start, dur)))
-        clock.advance(2.0)
-        clock.advance(0.0)  # zero advance: no event
-        assert events == [(0.0, 2.0)]
-
 
 class TestBattery:
     def test_drain(self):
@@ -109,10 +101,17 @@ class TestThermal:
 class TestCpu:
     def test_execute_duration(self):
         cpu = Cpu(INTEL_I5, governor="performance")
-        duration, power = cpu.execute(12_000.0)  # 12e9 ops
+        units, duration, power = cpu.execute(12_000.0, 5.0)  # 12e9 ops
         # 3 GHz * 4 ipc = 12e9 ops/s -> 1 second.
+        assert units == 12_000.0
         assert duration == pytest.approx(1.0)
         assert power > INTEL_I5.idle_w
+
+    def test_execute_stops_at_the_period(self):
+        cpu = Cpu(INTEL_I5, governor="performance")
+        units, duration, _ = cpu.execute(12_000.0, 0.25)
+        assert units == pytest.approx(3_000.0)
+        assert duration == pytest.approx(0.25)
 
     def test_power_increases_with_level(self):
         assert INTEL_I5.busy_power(0) < INTEL_I5.busy_power(3)
@@ -262,6 +261,17 @@ class TestSystems:
         times = [t for t, _ in platform.temperature_trace]
         assert times == sorted(times)
 
+    def test_repr_leaves_the_trace_alone(self):
+        from repro.obs.tracer import Tracer
+        platform = make_platform("A")
+        tracer = Tracer()
+        platform.set_tracer(tracer)
+        platform.cpu_work(100.0)
+        before = len(tracer)
+        text = repr(platform)
+        assert "bat=100%" in text
+        assert len(tracer) == before
+
     @pytest.mark.parametrize("system", ["A", "B", "C"])
     def test_temperature_trace_starts_at_die_temperature(self, system):
         platform = make_platform(system, seed=2)
@@ -272,6 +282,156 @@ class TestSystems:
         assert platform.temperature_trace == \
             [(0.0, platform.thermal.temperature_c)]
         assert platform.thermal.temperature_c == platform.thermal.ambient_c
+
+
+
+def _golden_activity(platform):
+    """A fixed script over every platform activity, split by a reset."""
+    platform.cpu_work(1500.0)
+    platform.io_bytes(3.0e6)
+    platform.net_bytes(2.5e5)
+    platform.sleep(0.75)
+    platform.cpu_work(40.0)
+    first = _golden_state(platform)
+    platform.reset(seed=11, battery_fraction=0.6, capacity_scale=0.5)
+    platform.cpu_work(900.0)
+    platform.net_bytes(1.0e5)
+    platform.sleep(0.3)
+    platform.io_bytes(5.0e5)
+    platform.cpu_work(2600.0)
+    return first, _golden_state(platform)
+
+
+def _golden_state(platform):
+    ledger = platform.ledger
+    return (platform.clock.now, ledger.cpu_j, ledger.peripheral_j,
+            ledger.io_j, ledger.net_j, ledger.display_j,
+            platform.thermal.temperature_c,
+            platform.battery.charge_joules, platform.cpu.current_level,
+            platform.cpu.governor.utilization, platform.sleep_total_s,
+            len(platform.temperature_trace),
+            platform.temperature_trace[-1])
+
+
+#: Exact platform state after :func:`_golden_activity`, per (system,
+#: governor): the state before the reset, then the final state.
+#: Each state is (clock, cpu_j, peripheral_j, io_j, net_j, display_j,
+#: temperature, charge, cpu level, utilization, sleep_total_s,
+#: len(temperature_trace), temperature_trace[-1]).
+GOLDEN_STATES = {
+    ('A', 'ondemand'): (
+        (1.1216698433433894, 4.447711106136133,
+         0.0, 0.008915123393911392,
+         0.03095528956219233, 0.0,
+         35.207713901834936, 161995.51241848094,
+         0, 0.13081329809496944,
+         0.75, 9,
+         (1.1216698433433894, 35.207713901834936)),
+        (0.9479669795426375, 7.004738662282313,
+         0.0, 0.0014853111278914325,
+         0.012377592732428604, 0.0,
+         35.33183781029106, 53992.98139843385,
+         2, 0.647815644827498,
+         0.3, 12,
+         (0.9479669795426375, 35.33183781029106)),
+    ),
+    ('A', 'performance'): (
+        (0.9051891850051244, 8.430603611680585,
+         0.0, 0.008915123393911392,
+         0.03095528956219233, 0.0,
+         35.3953543638519, 161991.5295259754,
+         3, 1.0,
+         0.75, 7,
+         (0.9051891850051244, 35.3953543638519)),
+        (0.5982999848515295, 10.404283587947745,
+         0.0, 0.0014853111278914325,
+         0.012377592732428604, 0.0,
+         35.494453515143945, 53989.5818535082,
+         3, 1.0,
+         0.3, 8,
+         (0.5982999848515295, 35.494453515143945)),
+    ),
+    ('B', 'ondemand'): (
+        (2.957005810463133, 6.403983378159599,
+         4.731209296741015, 0.05792073872040259,
+         0.009026608631751054, 0.0,
+         36.075506582597534, 32388.797859977763,
+         0, 0.3162810405658274,
+         0.75, 25,
+         (2.957005810463133, 36.075506582597534)),
+        (4.660164363452471, 12.865285891064357,
+         7.456262981523952, 0.009650817982805574,
+         0.0036096565961662407, 0.0,
+         37.13704996968069, 10779.665190652817,
+         1, 0.9989088118717039,
+         0.3, 48,
+         (4.660164363452471, 37.13704996968069)),
+    ),
+    ('B', 'performance'): (
+        (2.63706268229329, 6.588546184388952,
+         4.219300291669265, 0.05792073872040259,
+         0.009026608631751054, 0.0,
+         36.10885315281953, 32389.12520617659,
+         1, 1.0,
+         0.75, 22,
+         (2.63706268229329, 36.10885315281953)),
+        (4.196925100277805, 12.995638735814572,
+         6.715080160444484, 0.009650817982805574,
+         0.0036096565961662407, 0.0,
+         37.16185807869398, 10780.276020629157,
+         1, 1.0,
+         0.3, 43,
+         (4.196925100277805, 37.16185807869398)),
+    ),
+    ('C', 'ondemand'): (
+        (1.5959770039324268, 1.2871471883674919,
+         0.23939655058986398, 0.006043702693534633,
+         0.05137147289504437, 1.7555747043256695,
+         33.137748338960634, 33296.66046638113,
+         0, 0.2545459338453387,
+         0.75, 13,
+         (1.5959770039324268, 33.137748338960634)),
+        (1.698239132346611, 3.023689654590833,
+         0.2547358698519917, 0.0010059645469583426,
+         0.02052167675795019, 1.8680630455812735,
+         33.32644379365675, 11094.831983788674,
+         3, 0.8921144126862304,
+         0.3, 19,
+         (1.698239132346611, 33.32644379365675)),
+    ),
+    ('C', 'performance'): (
+        (1.24372402004106, 1.895968137872922,
+         0.186558603006159, 0.006043702693534633,
+         0.05137147289504437, 1.3680964220451663,
+         33.20338027578553, 33296.491961661486,
+         3, 1.0,
+         0.75, 10,
+         (1.24372402004106, 33.20338027578553)),
+        (1.2567496660456112, 3.7552071659697384,
+         0.18851244990684174, 0.0010059645469583426,
+         0.02052167675795019, 1.382424632650173,
+         33.40553368854676, 11094.652328110176,
+         3, 1.0,
+         0.3, 15,
+         (1.2567496660456112, 33.40553368854676)),
+    ),
+}
+
+
+class TestGoldenFloats:
+    """The simulator's floats, pinned exactly.
+
+    Every figure, fleet digest and advisor score is computed from these
+    numbers, so any change to the order of the platform's floating-point
+    operations shows here first.
+    """
+
+    @pytest.mark.parametrize("system,governor", sorted(GOLDEN_STATES))
+    def test_activity_script(self, system, governor):
+        platform = make_platform(system, seed=5, battery_fraction=0.9,
+                                 governor=governor)
+        assert _golden_activity(platform) == \
+            GOLDEN_STATES[(system, governor)]
 
 
 class TestReran:
